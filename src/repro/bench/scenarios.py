@@ -407,8 +407,6 @@ def bench_huge_churn(params: Dict, seed: int) -> ScenarioResult:
         "envelopes_reused": pools["envelopes"]["reused"],
         "tokens_created": pools["tokens"]["created"],
         "tokens_reused": pools["tokens"]["reused"],
-        "handles_created": pools["handles"]["created"],
-        "handles_reused": pools["handles"]["reused"],
         "events_per_sec": events / elapsed,
         "peak_rss_kb": _peak_rss_kb(),
     }

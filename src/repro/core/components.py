@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from repro.core.atomics import AtomicCounter
 from repro.core.decomposition import ComponentSpec
 from repro.errors import StructureError
 
@@ -65,6 +64,8 @@ def balanced_sum(total: int, width: int, wires) -> int:
     return sum(base + (1 if wire < rem else 0) for wire in wires)
 
 
+# The threads backend runs its own balancers, never this class.
+# repro: thread-safe: a live component is routed only by the simulation's one thread
 class ComponentState:
     """Mutable runtime state of one live component.
 
@@ -74,9 +75,10 @@ class ComponentState:
     counter is ``x = total % spec.width``; the route of the next token
     is a pure function of ``total``.
 
-    The traversal counter lives behind an :class:`AtomicCounter` (the
-    thread-readiness contract); ``total`` stays a plain-int property so
-    split/merge replay, audits and tests keep exact-integer semantics.
+    Both are plain Python values, mutated only by the two route methods
+    (and by split/merge and audits, which build or correct states
+    between events): a component is only ever touched from the event
+    loop.
     """
 
     def __init__(
@@ -86,18 +88,8 @@ class ComponentState:
         arrivals: Optional[Dict[int, int]] = None,
     ) -> None:
         self.spec = spec
-        # repro: owned-by: shared
-        self._traversed = AtomicCounter(int(total))
+        self.total = int(total)
         self.arrivals: Dict[int, int] = dict(arrivals) if arrivals else {}
-
-    @property
-    def total(self) -> int:
-        """Exact number of tokens that have traversed the component."""
-        return self._traversed.get()
-
-    @total.setter
-    def total(self, value: int) -> None:
-        self._traversed.set(int(value))
 
     @property
     def width(self) -> int:
@@ -106,7 +98,7 @@ class ComponentState:
     @property
     def x(self) -> int:
         """The paper's counter: the wire the next token will exit on."""
-        return self._traversed.get() % self.width
+        return self.total % self.width
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.width:
@@ -119,10 +111,11 @@ class ComponentState:
         width = self.spec.width
         if not 0 <= in_port < width:
             self._check_port(in_port)
-        wire = self._traversed.fetch_increment() % width
+        total = self.total
+        self.total = total + 1
         arrivals = self.arrivals
         arrivals[in_port] = arrivals.get(in_port, 0) + 1
-        return wire
+        return total % width
 
     def route_batch(self, port_counts: Mapping[int, int]) -> List[int]:
         """Consume a batch of tokens; return per-output-wire counts.
@@ -137,7 +130,8 @@ class ComponentState:
             if n < 0:
                 raise StructureError("negative token count on port %d" % port)
             count += n
-        start = self._traversed.fetch_increment(count) % self.width
+        start = self.total % self.width
+        self.total += count
         counts = balanced_counts(start, count, self.width)
         for port, n in port_counts.items():
             if n:

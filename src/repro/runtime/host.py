@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chord.ring import ChordNode
-from repro.core.atomics import AtomicCounter
 from repro.core.components import ComponentState
 from repro.errors import ProtocolError
+from repro.obs import recorder as _obs
 from repro.runtime.tokens import Token, TokenMsg
 from repro.sim.node import SimulatedProcess
 
@@ -48,7 +48,6 @@ class NodeHost(SimulatedProcess):
         self._edge_cache: Dict[Tuple[Path, int], Tuple] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self.tokens_routed = AtomicCounter()  # repro: owned-by: shared
 
     @property
     def node_id(self) -> int:
@@ -94,6 +93,51 @@ class NodeHost(SimulatedProcess):
     # token plane
     # ------------------------------------------------------------------
     def handle_message(self, message) -> None:
+        if isinstance(message, TokenMsg):
+            # The single-token message that dominates uncombined
+            # traffic: the batch path below, without the batch list.
+            path = message.path
+            port = message.port
+            token = message.token
+            system = self.system
+            # The token arrived: settle its in-flight entry (clamped at
+            # zero) and its debt to (path, port).
+            inflight = system._inflight
+            remaining = inflight.get(path, 0) - 1
+            if remaining > 0:
+                inflight[path] = remaining
+            else:
+                inflight.pop(path, None)
+            key = token.owed
+            if key is not None:
+                token.owed = None
+                owed = system._owed
+                remaining = owed.get(key, 0) - 1
+                if remaining:
+                    owed[key] = remaining
+                else:
+                    owed.pop(key, None)
+                obs = _obs.ACTIVE
+                if obs.enabled:
+                    obs.owed_delta(-1)
+            if path in self.frozen:
+                self.buffers.setdefault(path, []).append((port, token))
+                return
+            state = self.components.get(path)
+            if state is None:
+                system.reroute_token(path, port, token)
+                return
+            out_port = state.route_token(port)
+            dest = self._edge_cache.get((path, out_port))
+            if dest is None:
+                dest = self._edge(path, state, out_port)
+            else:
+                self.cache_hits += 1
+            if dest[0] == "out":
+                system.retire_token(token, state, out_port, dest[1])
+            else:
+                system.send_token(dest[1], dest[2], token)
+            return
         global _BatchTokenMsg
         BatchTokenMsg = _BatchTokenMsg
         if BatchTokenMsg is None:
@@ -102,42 +146,21 @@ class NodeHost(SimulatedProcess):
             from repro.runtime.combining import BatchTokenMsg as _cls
 
             BatchTokenMsg = _BatchTokenMsg = _cls  # repro: thread-safe: write-once import memo, idempotent
-        if isinstance(message, TokenMsg):
-            self._handle_one(message.path, message.port, message.token)
-        elif isinstance(message, BatchTokenMsg):
+        if isinstance(message, BatchTokenMsg):
             self._handle_tokens(message.path, list(message.items))
         else:  # pragma: no cover - no other message kinds today
             raise ProtocolError("unknown message %r" % (message,))
 
-    def _handle_one(self, path: Path, port: int, token: Token) -> None:
-        """:meth:`_handle_tokens` specialised for the single-token
-        message that dominates uncombined traffic (no batch list)."""
-        system = self.system
-        system.note_token_arrived(path)
-        system._unowe(token)
-        if path in self.frozen:
-            self.buffers.setdefault(path, []).append((port, token))
-            return
-        state = self.components.get(path)
-        if state is None:
-            system.reroute_token(path, port, token)
-            return
-        self.tokens_routed.increment()
-        out_port = state.route_token(port)
-        dest = self._edge(path, state, out_port)
-        if dest[0] == "out":
-            system.retire_token(token, state, out_port, dest[1])
-        else:
-            _, dest_path, dest_port = dest
-            system.send_token(dest_path, dest_port, token)
-
     def _handle_tokens(self, path: Path, items: List[Tuple[int, Token]]) -> None:
         system = self.system
-        note_arrived = system.note_token_arrived
-        unowe = system._unowe
+        inflight = system._inflight
+        remaining = inflight.get(path, 0) - len(items)
+        if remaining > 0:
+            inflight[path] = remaining
+        else:
+            inflight.pop(path, None)
         for _port, token in items:
-            note_arrived(path)
-            unowe(token)
+            system._unowe(token)
         if path in self.frozen:
             self.buffers.setdefault(path, []).extend(items)
             return
@@ -146,7 +169,6 @@ class NodeHost(SimulatedProcess):
             for port, token in items:
                 system.reroute_token(path, port, token)
             return
-        self.tokens_routed.increment(len(items))
         for port, token in items:
             out_port = state.route_token(port)
             dest = self._edge(path, state, out_port)
@@ -156,8 +178,7 @@ class NodeHost(SimulatedProcess):
                 # "member" and "missing" both address a path; for a
                 # crash hole, send_token's reroute machinery retries
                 # until stabilisation restores it.
-                _, dest_path, dest_port = dest
-                system.send_token(dest_path, dest_port, token)
+                system.send_token(dest[1], dest[2], token)
 
     def _edge(self, path: Path, state: ComponentState, out_port: int) -> Tuple:
         key = (path, out_port)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chord.ring import ChordNode, ChordRing
-from repro.core.atomics import AtomicCounter, PerWireCounters, TokenLedger
+from repro.core.atomics import AtomicCounter, PerWireCounters
 from repro.core.components import ComponentState, balanced_count_at
 from repro.core.cut import Cut, CutNetwork
 from repro.core.decomposition import ComponentSpec, DecompositionTree
@@ -135,16 +135,19 @@ class AdaptiveCountingSystem:
         self.injected_per_wire = PerWireCounters(width)  # repro: owned-by: shared
         self.output_counts = PerWireCounters(width)  # repro: owned-by: shared
         self.lost_components: Set[Path] = set()
-        # repro: owned-by: shared
-        self._inflight: TokenLedger[Path] = TokenLedger()
+        # Token messages on the bus per destination path (paths with
+        # none are absent): posted by a send, settled on arrival or
+        # bounce. Merges drain a subtree on it.
+        # repro: owned-by: sim-loop-confined
+        self._inflight: Dict[Path, int] = {}
         # Exact emitted-but-not-arrived accounting, used by crash
         # recovery: (path, port) -> tokens owed to that input. A token
         # stays owed across undeliverable bounces and retry waits, and
         # moves keys when rerouted, so ``Stabilizer.reconstruct`` can
         # subtract tokens its in-neighbours counted as departed that
         # have not actually arrived.
-        # repro: owned-by: shared
-        self._owed: TokenLedger[Tuple[Path, int]] = TokenLedger()
+        # repro: owned-by: sim-loop-confined
+        self._owed: Dict[Tuple[Path, int], int] = {}
         # Injected tokens whose input lookup failed and is pending a
         # retry, per network wire: counted in ``injected_per_wire`` but
         # not yet owed to any component.
@@ -310,36 +313,37 @@ class AdaptiveCountingSystem:
         share one message.
         """
         path = tuple(path)
-        if self._owner_of(path) is None:
+        owner = self._owner_of(path)
+        if owner is None:
             self.reroute_token(path, port, token)
             return
+        # The token is now owed to (path, port): its emitter counted it
+        # as departed toward that input, and it has not arrived yet.
+        # Re-owing to the same key (a retry) is a no-op; rerouting to a
+        # new address moves the count.
+        key = (path, port)
+        if token.owed != key:
+            if token.owed is not None:
+                self._unowe(token)
+            token.owed = key
+            owed = self._owed
+            owed[key] = owed.get(key, 0) + 1
+            obs = _obs.ACTIVE
+            if obs.enabled:
+                obs.owed_delta(1)
         if self.combiner is not None:
-            self._owe(path, port, token)
             self.combiner.offer(path, port, token)
             return
-        self._dispatch_one(path, port, token)
-
-    def _dispatch_one(self, path: Path, port: int, token: Token) -> None:
-        """:meth:`dispatch_batch` specialised for one token — the
-        per-hop common case without combining — skipping the batch list
-        machinery. ``path`` must already be a live tuple."""
-        owner = self._owner_of(path)
         token.hops += 1
-        self._owe(path, port, token)
         obs = _obs.ACTIVE
         if obs.enabled:
             obs.token_hop(self.sim.now, token, path, port, 1)
-        self._inflight.post(path)
-        self.bus.send(
-            owner,
-            TokenMsg(path, port, token),
-            kind="token",
-            on_undeliverable=lambda: self._one_undelivered(path, port, token),
-        )
-
-    def _one_undelivered(self, path: Path, port: int, token: Token) -> None:
-        self.note_token_arrived(path)
-        self._retry(path, port, token)
+        inflight = self._inflight
+        inflight[path] = inflight.get(path, 0) + 1
+        # The message is its own on_undeliverable callback, so the hop
+        # allocates no closure.
+        message = TokenMsg(path, port, token, self)
+        self.bus.send(owner, message, kind="token", on_undeliverable=message)
 
     def dispatch_batch(self, path: Path, items) -> None:
         """Ship a batch of (port, token) pairs as one message."""
@@ -349,19 +353,22 @@ class AdaptiveCountingSystem:
             for port, token in items:
                 self.reroute_token(path, port, token)
             return
+        owed = self._owed
         obs = _obs.ACTIVE
-        if obs.enabled:
-            now = self.sim.now
-            batch_size = len(items)
-            for port, token in items:
-                token.hops += 1
-                self._owe(path, port, token)
-                obs.token_hop(now, token, path, port, batch_size)
-        else:
-            for port, token in items:
-                token.hops += 1
-                self._owe(path, port, token)
-        self._inflight.post(path, len(items))
+        for port, token in items:
+            token.hops += 1
+            key = (path, port)
+            if token.owed != key:
+                if token.owed is not None:
+                    self._unowe(token)
+                token.owed = key
+                owed[key] = owed.get(key, 0) + 1
+                if obs.enabled:
+                    obs.owed_delta(1)
+            if obs.enabled:
+                obs.token_hop(self.sim.now, token, path, port, len(items))
+        inflight = self._inflight
+        inflight[path] = inflight.get(path, 0) + len(items)
         if len(items) == 1:
             port, token = items[0]
             message = TokenMsg(path, port, token)
@@ -374,45 +381,37 @@ class AdaptiveCountingSystem:
             owner,
             message,
             kind="token",
-            on_undeliverable=lambda: self._batch_undelivered(path, items),
+            on_undeliverable=lambda: self._bounce(path, items),
         )
 
-    def _batch_undelivered(self, path: Path, items) -> None:
-        for _ in items:
-            self.note_token_arrived(path)
+    def _bounce(self, path: Path, items) -> None:
+        """The bus could not deliver these (port, token) pairs to
+        ``path``: they left the wire, so settle their in-flight entries,
+        and retry each. They stay owed to their inputs meanwhile."""
+        inflight = self._inflight
+        remaining = inflight.get(path, 0) - len(items)
+        if remaining > 0:
+            inflight[path] = remaining
+        else:
+            inflight.pop(path, None)
         for port, token in items:
             self._retry(path, port, token)
-
-    def note_token_arrived(self, path: Path) -> None:
-        if self._inflight.settle(path) < 0:
-            # The old dict idiom clamped at zero; keep that behaviour.
-            self._inflight.clear_balance(path)
 
     # ------------------------------------------------------------------
     # emitted-but-not-arrived ledger (crash-recovery accounting)
     # ------------------------------------------------------------------
-    def _owe(self, path: Path, port: int, token: Token) -> None:
-        """Record that ``token`` is owed to (``path``, ``port``): its
-        emitter has counted it as departed toward that input, but it has
-        not arrived there yet. Re-owing to the same key (a retry) is a
-        no-op; rerouting to a new address moves the count."""
-        key = (path, port)
-        if token.owed == key:
-            return
-        self._unowe(token)
-        token.owed = key
-        self._owed.post(key)
-        obs = _obs.ACTIVE
-        if obs.enabled:
-            obs.owed_delta(1)
-
     def _unowe(self, token: Token) -> None:
         """The token arrived somewhere (or was dropped): settle its debt."""
         key = token.owed
         if key is None:
             return
         token.owed = None
-        self._owed.settle(key)
+        owed = self._owed
+        remaining = owed.get(key, 0) - 1
+        if remaining:
+            owed[key] = remaining
+        else:
+            owed.pop(key, None)
         obs = _obs.ACTIVE
         if obs.enabled:
             obs.owed_delta(-1)
@@ -421,7 +420,7 @@ class AdaptiveCountingSystem:
         """Tokens counted as emitted toward (``path``, ``port``) that
         have not arrived: in flight on the bus, bounced and awaiting a
         retry, or waiting in a combining buffer."""
-        return self._owed.balance((tuple(path), port))
+        return self._owed.get((tuple(path), port), 0)
 
     def _retry(self, path: Path, port: int, token: Token) -> None:
         token.reroutes += 1
@@ -549,8 +548,8 @@ class AdaptiveCountingSystem:
             host.clear_edge_cache()
 
     def publish_pool_stats(self) -> Dict[str, Dict[str, int]]:
-        """Snapshot every freelist (envelopes, tokens, event handles)
-        into the active recorder's gauges and return the snapshot.
+        """Snapshot every freelist (envelopes, tokens) into the active
+        recorder's gauges and return the snapshot.
 
         Called at section boundaries (bench scenarios, experiment
         epochs) — deliberately not per event, so pooling costs no obs
@@ -559,7 +558,6 @@ class AdaptiveCountingSystem:
         snapshot = {
             "envelopes": self.bus.pool_stats(),
             "tokens": self.token_pool.stats(),
-            "handles": self.sim.pool_stats(),
         }
         obs = _obs.ACTIVE
         if obs.enabled:

@@ -133,14 +133,26 @@ class TokenPool:
 
 
 class TokenMsg:
-    """A token addressed to input ``port`` of the component at ``path``."""
+    """A token addressed to input ``port`` of the component at ``path``.
 
-    __slots__ = ("path", "port", "token")
+    The message doubles as its own bounce callback: the sending
+    ``system`` passes it to the bus as ``on_undeliverable``, so a hop
+    allocates no closure, and calling it hands the token back to the
+    system for a retry (see :meth:`__call__`).
+    """
 
-    def __init__(self, path: Tuple[int, ...], port: int, token: Token):
+    __slots__ = ("path", "port", "token", "system")
+
+    def __init__(self, path: Tuple[int, ...], port: int, token: Token, system=None):
         self.path = path
         self.port = port
         self.token = token
+        self.system = system
+
+    def __call__(self) -> None:
+        """The bus could not deliver this message (its destination
+        crashed): hand the token back to the system for a retry."""
+        self.system._bounce(self.path, ((self.port, self.token),))
 
     def __repr__(self):
         return "TokenMsg(path=%r, port=%d, token=%r)" % (

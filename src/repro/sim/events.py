@@ -36,24 +36,24 @@ as dead no-op closures until their fire time.
 
 ``schedule_pooled``/``schedule_at_pooled`` are the fire-and-forget
 variants for callers that never cancel (the message bus's delivery
-trampoline): they return nothing and draw their handles from a
-simulator-owned freelist — a fired pooled handle goes straight back to
-the freelist instead of the allocator. Pooling is safe *because* the
-handle is unobservable: no caller can hold a stale reference across a
-reuse, so the cancel-after-fire ABA hazard cannot arise. ``pool_stats``
-reports the freelist's traffic for the ``repro.obs`` gauges.
+trampoline): they return nothing and store the *bare callback* in the
+bucket, with no handle at all. A bucket therefore mixes bare callbacks
+and handles; the loops tell them apart by type, and only a handle can
+be cancelled. (The names are historical: these events once drew their
+handles from a freelist.)
 
 ``pending`` counts *live* events only (a cancelled-events counter is
 maintained alongside the buckets), so quiescence checks built on it do
 not see cancelled timers.
 
-The run loops (:meth:`Simulator.run_until_idle` / :meth:`run_until`)
-inline :meth:`step` with hoisted attribute lookups, and they keep the
-``max_events`` bound *exact* through a shared budget that the message
-bus's same-timestamp inline fast path also charges
-(:meth:`claim_inline_slot`): every executed event — popped or inline —
-consumes exactly one slot, and the bound raises before the event that
-would exceed it.
+:meth:`Simulator.run_until_idle` and :meth:`run_until` share one
+dispatch loop (:meth:`Simulator._dispatch`, bounded by a time that is
+infinite for the former), which inlines :meth:`step` with hoisted
+attribute lookups. It keeps the ``max_events`` bound *exact* through a
+budget that the message bus's same-timestamp inline fast path also
+charges (:meth:`claim_inline_slot`): every executed event — popped or
+inline — consumes exactly one slot, and the bound raises before the
+event that would exceed it.
 
 Schedule tie-break policies
 ---------------------------
@@ -170,24 +170,19 @@ def schedule_policy(
 
 
 class EventHandle:
-    """One scheduled event: a callback plus a ``cancelled`` flag.
+    """One cancellable event: a callback plus a ``cancelled`` flag.
 
     Returned by :meth:`Simulator.schedule` / :meth:`schedule_at`; pass
-    it to :meth:`Simulator.cancel` to deschedule the callback. The
-    record is deliberately tiny (three slots) — it is allocated on
-    every schedule, on the hot path of every message send. ``pooled``
-    marks handles owned by the simulator's freelist
-    (:meth:`Simulator.schedule_pooled`): such handles are never handed
-    to a caller, so they can be recycled the instant they fire without
-    any reference going stale.
+    it to :meth:`Simulator.cancel` to deschedule the callback. Events
+    nobody can cancel (:meth:`Simulator.schedule_pooled`) need no handle
+    and are queued as bare callbacks instead.
     """
 
-    __slots__ = ("callback", "cancelled", "pooled")
+    __slots__ = ("callback", "cancelled")
 
-    def __init__(self, callback: Callable[[], None], pooled: bool = False):
+    def __init__(self, callback: Callable[[], None]):
         self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
-        self.pooled = pooled
 
     @property
     def live(self) -> bool:
@@ -195,10 +190,16 @@ class EventHandle:
         return self.callback is not None and not self.cancelled
 
 
-#: FIFO-mode bucket: handles in scheduling order.
-_FifoBucket = Deque[EventHandle]
-#: Policy-mode bucket: a heapq list of (tie-break key, handle).
-_KeyedBucket = List[Tuple[int, EventHandle]]
+#: A queued event: a cancellable handle or a bare fire-and-forget
+#: callback.
+_Entry = object
+#: FIFO-mode bucket: entries in scheduling order.
+_FifoBucket = Deque[_Entry]
+#: Policy-mode bucket: a heapq list of (tie-break key, entry).
+_KeyedBucket = List[Tuple[int, _Entry]]
+
+#: The time bound of :meth:`Simulator.run_until_idle`: no bound.
+_FOREVER = float("inf")
 
 
 class Simulator:
@@ -220,12 +221,6 @@ class Simulator:
         #: Recycled empty bucket containers (deques or lists, matching
         #: the simulator's mode for its whole lifetime).
         self._bucket_pool: List[object] = []
-        #: Freelist of fire-and-forget EventHandles plus its traffic
-        #: counters (read by :meth:`pool_stats`, mutated only by the
-        #: event loop).
-        self._handle_pool: List[EventHandle] = []
-        self._handles_created = 0  # repro: owned-by: single-writer
-        self._handles_reused = 0  # repro: owned-by: single-writer
         self._sequence = itertools.count()
         #: Cancelled entries still sitting in buckets (lazy deletion).
         self._cancelled = AtomicCounter()  # repro: owned-by: shared
@@ -249,7 +244,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _enqueue_fifo(self, time: float, handle: EventHandle) -> None:
+    def _enqueue_fifo(self, time: float, entry: _Entry) -> None:
         """Insert into the bucket for ``time`` (creating the bucket and
         its heap anchor if this timestamp is new) — FIFO mode, where the
         sequence counter is never consumed."""
@@ -260,11 +255,11 @@ class Simulator:
             bucket = pool.pop() if pool else deque()
             buckets[time] = bucket
             heappush(self._times, time)
-        bucket.append(handle)  # type: ignore[attr-defined]
+        bucket.append(entry)  # type: ignore[attr-defined]
 
-    def _enqueue_keyed(self, time: float, handle: EventHandle) -> None:
+    def _enqueue_keyed(self, time: float, entry: _Entry) -> None:
         """Policy-mode insert: the bucket is a heap of (tie-break key,
-        handle); keys are injective so handles are never compared."""
+        entry); keys are injective so entries are never compared."""
         key = self.policy.key(next(self._sequence))  # type: ignore[union-attr]
         buckets = self._buckets
         bucket = buckets.get(time)
@@ -273,7 +268,7 @@ class Simulator:
             bucket = pool.pop() if pool else []
             buckets[time] = bucket
             heappush(self._times, time)
-        heappush(bucket, (key, handle))  # type: ignore[arg-type]
+        heappush(bucket, (key, entry))  # type: ignore[arg-type]
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` ``delay`` time units from now."""
@@ -297,36 +292,37 @@ class Simulator:
         self._enqueue(time, handle)
         return handle
 
-    def _acquire_handle(self, callback: Callable[[], None]) -> EventHandle:
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.callback = callback
-            self._handles_reused += 1
-        else:
-            handle = EventHandle(callback, pooled=True)
-            self._handles_created += 1
-        return handle
-
     def schedule_pooled(self, delay: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle is returned, so
-        the event cannot be cancelled — in exchange its handle comes
-        from (and returns to) the simulator's freelist."""
+        """Fire-and-forget :meth:`schedule`: the bare callback is queued
+        and no handle is returned, so the event cannot be cancelled."""
         if delay < 0 or not isfinite(delay):
             raise SimulationError(
                 "cannot schedule a negative or non-finite delay (delay=%r)" % delay
             )
-        self._enqueue(self.now + delay, self._acquire_handle(callback))
+        time = self.now + delay
+        if self._fifo:
+            # Inlined _enqueue_fifo for the common case, a timestamp
+            # that already has a bucket.
+            bucket = self._buckets.get(time)
+            if bucket is not None:
+                bucket.append(callback)  # type: ignore[attr-defined]
+                return
+        self._enqueue(time, callback)
 
     def schedule_at_pooled(self, time: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`schedule_at` using the handle freelist."""
+        """Fire-and-forget :meth:`schedule_at` (see :meth:`schedule_pooled`)."""
         if not isfinite(time):
             raise SimulationError("cannot schedule at non-finite time %r" % time)
         if time < self.now:
             raise SimulationError(
                 "cannot schedule at %r, current time is %r" % (time, self.now)
             )
-        self._enqueue(time, self._acquire_handle(callback))
+        if self._fifo:
+            bucket = self._buckets.get(time)
+            if bucket is not None:
+                bucket.append(callback)  # type: ignore[attr-defined]
+                return
+        self._enqueue(time, callback)
 
     def cancel(self, handle: EventHandle) -> bool:
         """Deschedule an event; returns whether it was still live.
@@ -348,14 +344,6 @@ class Simulator:
         """Number of *live* events still queued (cancelled excluded)."""
         queued = sum(len(bucket) for bucket in self._buckets.values())  # type: ignore[arg-type]
         return queued - self._cancelled.get()
-
-    def pool_stats(self) -> Dict[str, int]:
-        """Handle-freelist traffic: constructed, recycled, and idle."""
-        return {
-            "created": self._handles_created,
-            "reused": self._handles_reused,
-            "free": len(self._handle_pool),
-        }
 
     # ------------------------------------------------------------------
     # dispatch
@@ -393,15 +381,17 @@ class Simulator:
                 # change that — skip the housekeeping entirely.
                 break
             bucket = self._buckets[head]
-            # Lazy-deletion housekeeping at the queue head.
-            if fifo:
-                while bucket and bucket[0].cancelled:  # type: ignore[index, attr-defined]
+            # Lazy-deletion housekeeping at the queue head: drop
+            # cancelled handles until a live entry (or nothing) is left.
+            while bucket:
+                entry = bucket[0] if fifo else bucket[0][1]  # type: ignore[index]
+                if entry.__class__ is not EventHandle or not entry.cancelled:
+                    break
+                if fifo:
                     bucket.popleft()  # type: ignore[attr-defined]
-                    self._cancelled.decrement()
-            else:
-                while bucket and bucket[0][1].cancelled:  # type: ignore[index]
+                else:
                     heappop(bucket)  # type: ignore[arg-type]
-                    self._cancelled.decrement()
+                self._cancelled.decrement()
             if not bucket:
                 self._retire_bucket(head, bucket)
                 continue
@@ -429,16 +419,16 @@ class Simulator:
                 self._retire_bucket(time, bucket)
                 continue
             if fifo:
-                handle = bucket.popleft()  # type: ignore[attr-defined]
+                entry = bucket.popleft()  # type: ignore[attr-defined]
             else:
-                handle = heappop(bucket)[1]  # type: ignore[arg-type]
-            if handle.cancelled:
-                self._cancelled.decrement()
-                continue
-            callback = handle.callback
-            handle.callback = None
-            if handle.pooled:
-                self._handle_pool.append(handle)
+                entry = heappop(bucket)[1]  # type: ignore[arg-type]
+            callback = entry
+            if entry.__class__ is EventHandle:
+                if entry.cancelled:
+                    self._cancelled.decrement()
+                    continue
+                callback = entry.callback
+                entry.callback = None
             self.now = time
             self.events_run.increment()
             obs = _obs.ACTIVE
@@ -459,10 +449,24 @@ class Simulator:
         extra event), and events the bus delivers inline count against
         it like any other.
         """
+        return self._dispatch(_FOREVER, max_events)
+
+    def run_until(self, time: float, max_events: Optional[int] = None) -> int:
+        """Run all events scheduled strictly before ``time``; advances
+        the clock to ``time``. ``max_events`` bounds execution exactly,
+        as in :meth:`run_until_idle`."""
+        executed = self._dispatch(time, max_events)
+        if time > self.now:
+            self.now = time
+        return executed
+
+    def _dispatch(self, until: float, max_events: Optional[int]) -> int:
+        """The dispatch loop of both run methods: execute every live
+        event scheduled strictly before ``until``, at most
+        ``max_events`` of them; returns the events executed."""
         times = self._times
         buckets = self._buckets
         fifo = self._fifo
-        handle_pool = self._handle_pool
         events_run = self.events_run
         drop_cancelled = self._cancelled.decrement
         started = events_run.get()
@@ -475,35 +479,40 @@ class Simulator:
         try:
             while times:
                 time = times[0]
+                if time >= until:
+                    break
                 bucket = buckets[time]
                 if not bucket:
                     self._retire_bucket(time, bucket)
                     continue
                 # Peek before charging: an exhausted budget must leave
                 # the event queued, and a cancelled head is uncounted.
-                handle = bucket[0] if fifo else bucket[0][1]  # type: ignore[index]
-                if handle.cancelled:
-                    if fifo:
-                        bucket.popleft()  # type: ignore[attr-defined]
-                    else:
-                        heappop(bucket)  # type: ignore[arg-type]
-                    drop_cancelled()
-                    continue
+                entry = bucket[0] if fifo else bucket[0][1]  # type: ignore[index]
+                callback = entry
+                if entry.__class__ is EventHandle:
+                    if entry.cancelled:
+                        if fifo:
+                            bucket.popleft()  # type: ignore[attr-defined]
+                        else:
+                            heappop(bucket)  # type: ignore[arg-type]
+                        drop_cancelled()
+                        continue
+                    callback = entry.callback
                 budget = self._budget  # re-read: inline deliveries consume it
                 if budget is not None:
                     if budget <= 0:
-                        raise SimulationError(
-                            "simulation did not quiesce within %d events" % max_events
-                        )
+                        if until == _FOREVER:
+                            raise SimulationError(
+                                "simulation did not quiesce within %d events" % max_events
+                            )
+                        raise SimulationError("too many events before time %r" % until)
                     self._budget = budget - 1
                 if fifo:
                     bucket.popleft()  # type: ignore[attr-defined]
                 else:
                     heappop(bucket)  # type: ignore[arg-type]
-                callback = handle.callback
-                handle.callback = None
-                if handle.pooled:
-                    handle_pool.append(handle)
+                if callback is not entry:
+                    entry.callback = None  # a fired handle is no longer live
                 self.now = time
                 popped += 1
                 obs = _obs.ACTIVE
@@ -516,62 +525,4 @@ class Simulator:
             if popped:
                 events_run.increment(popped)
             self._budget = outer_budget
-        return events_run.get() - started
-
-    def run_until(self, time: float, max_events: Optional[int] = None) -> int:
-        """Run all events scheduled strictly before ``time``; advances
-        the clock to ``time``. ``max_events`` bounds execution exactly,
-        as in :meth:`run_until_idle`."""
-        times = self._times
-        buckets = self._buckets
-        fifo = self._fifo
-        handle_pool = self._handle_pool
-        events_run = self.events_run
-        drop_cancelled = self._cancelled.decrement
-        started = events_run.get()
-        outer_budget = self._budget
-        self._budget = max_events
-        popped = 0  # folded into events_run once per batch, as above
-        try:
-            while times and times[0] < time:
-                head = times[0]
-                bucket = buckets[head]
-                if not bucket:
-                    self._retire_bucket(head, bucket)
-                    continue
-                handle = bucket[0] if fifo else bucket[0][1]  # type: ignore[index]
-                if handle.cancelled:
-                    if fifo:
-                        bucket.popleft()  # type: ignore[attr-defined]
-                    else:
-                        heappop(bucket)  # type: ignore[arg-type]
-                    drop_cancelled()
-                    continue
-                budget = self._budget
-                if budget is not None:
-                    if budget <= 0:
-                        raise SimulationError("too many events before time %r" % time)
-                    self._budget = budget - 1
-                if fifo:
-                    bucket.popleft()  # type: ignore[attr-defined]
-                else:
-                    heappop(bucket)  # type: ignore[arg-type]
-                callback = handle.callback
-                handle.callback = None
-                if handle.pooled:
-                    handle_pool.append(handle)
-                self.now = head
-                popped += 1
-                obs = _obs.ACTIVE
-                if obs.enabled:
-                    events_run.increment(popped)
-                    popped = 0
-                    obs.event_executed(head)
-                callback()  # type: ignore[misc]
-        finally:
-            if popped:
-                events_run.increment(popped)
-            self._budget = outer_budget
-        if time > self.now:
-            self.now = time
         return events_run.get() - started

@@ -16,21 +16,26 @@ either queues ``deliver`` behind the destination's service queue or —
 when the destination is idle, costs no service time, and the delivery
 would provably be the very next event anyway — runs it inline via
 :meth:`Simulator.claim_inline_slot`, skipping the queue round-trip
-without perturbing event order or accounting.
+without perturbing event order or accounting. ``deliver`` is also the
+one drop path: an ``arrive`` that finds the destination gone calls it
+directly, and it settles, counts, releases and bounces the message.
+Both trampolines go to the simulator as bare bound methods through its
+fire-and-forget ``schedule_pooled``/``schedule_at_pooled``, so a hop
+allocates no event handle.
 
 Envelope pooling
 ----------------
-Envelopes are drawn from a per-bus freelist and recycled the moment
-their delivery (or drop) completes, making the send→deliver hot path
-allocation-free in steady state. Recycling is safe because the delivery
-paths extract every field they need into locals *before* releasing, so
-an envelope re-acquired by a re-entrant send inside the message handler
-cannot corrupt the delivery in progress. Each release bumps the
-envelope's ``generation`` stamp; anything that holds an envelope
-reference across events (the coalescing map below) captures the stamp
-at hold time and treats a mismatch as "this is a different message now"
-— the same epoch-style ABA discipline the bus already applies to
-re-registered addresses.
+Envelopes are drawn from a per-bus freelist (inside :meth:`MessageBus.send`)
+and recycled by ``deliver`` the moment their delivery (or drop)
+completes, making the send→deliver hot path allocation-free in steady
+state. Recycling is safe because ``deliver`` extracts every field it
+needs into locals *before* releasing, so an envelope re-acquired by a
+re-entrant send inside the message handler cannot corrupt the delivery
+in progress. Each release bumps the envelope's ``generation`` stamp;
+anything that holds an envelope reference across events (the coalescing
+map below) captures the stamp at hold time and treats a mismatch as
+"this is a different message now" — the same epoch-style ABA discipline
+the bus already applies to re-registered addresses.
 
 Same-edge coalescing
 --------------------
@@ -76,11 +81,11 @@ class Envelope:
     need; its bound methods ``arrive`` and ``deliver`` are the event
     callbacks (the *delivery trampoline*), so sending a message costs
     one envelope instead of three closures with captured cells.
-    Envelopes are pool-owned: construct them only through
-    :meth:`MessageBus._acquire_envelope` (the RSC307 lint enforces
-    this), and ``generation`` counts how many times this record has
-    been recycled — the ABA stamp for anything holding a reference
-    across events.
+    Envelopes are pool-owned: only :meth:`MessageBus.send` constructs
+    one (the RSC307 lint flags construction outside this module), and
+    ``generation`` counts how many times this record has been
+    recycled — the ABA stamp for anything holding a reference across
+    events.
     """
 
     __slots__ = (
@@ -114,16 +119,6 @@ class Envelope:
         #: or None. Only ever non-None on a parked primary envelope.
         self.chained: Optional[List["Envelope"]] = None
 
-    def addressee(self) -> Optional[SimulatedProcess]:
-        """The live destination process, or None (gone or re-registered)."""
-        bus = self.bus
-        process = bus._processes.get(self.to_address)
-        if process is None:
-            return None
-        if self.sent_epoch is not None and bus._epoch_of(self.to_address) != self.sent_epoch:
-            return None  # same address, different incarnation
-        return process
-
     def arrive(self) -> None:
         """Network transit ended: enter the destination's service queue.
 
@@ -133,38 +128,36 @@ class Envelope:
         accounting.
         """
         bus = self.bus
+        simulator = bus.simulator
+        now = simulator.now
         if bus.coalesce:
-            bus._parked_primaries.pop((self.to_address, bus.simulator.now), None)
+            parked = bus._parked_primaries
+            key = (self.to_address, now)
+            # Unpark only our own entry: chained envelopes re-enter
+            # arrive() below and must not unpark a newer primary.
+            entry = parked.get(key)
+            if entry is not None and entry[0] is self:
+                del parked[key]
             chained = self.chained
             if chained is not None:
                 self.chained = None
-                self._arrive_one()
+                self.arrive()
                 for envelope in chained:
-                    envelope._arrive_one()
+                    envelope.arrive()
                 return
-        self._arrive_one()
-
-    def _arrive_one(self) -> None:
-        bus = self.bus
-        current = self.addressee()
-        if current is None:
-            kind = self.kind
-            on_undeliverable = self.on_undeliverable
-            bus._finish(kind)
-            bus.messages_dropped.increment()
-            obs = _obs.ACTIVE
-            if obs.enabled:
-                obs.bus_dropped(bus.simulator.now, kind)
-            bus._release_envelope(self)
-            if on_undeliverable is not None:
-                on_undeliverable()
+        to_address = self.to_address
+        sent_epoch = self.sent_epoch
+        if to_address not in bus._processes or (
+            sent_epoch is not None and bus._epoch_of(to_address) != sent_epoch
+        ):
+            # The destination is gone (or re-registered). Nothing runs
+            # in between, so deliver() finds the same and drops it.
+            self.deliver()
             return
-        simulator = bus.simulator
-        now = simulator.now
-        busy = bus._busy_of(self.to_address)
+        busy = bus._busy_of(to_address)
         finish = (busy if busy is not None and busy > now else now) + bus.service_time
         if finish != now:
-            bus._busy_until.put(self.to_address, finish)
+            bus._busy_until.put(to_address, finish)
         # else: an idle destination with zero service cost stays "busy
         # until now", which any existing entry already implies — skipping
         # the write keeps the zero-service hot path free of map traffic.
@@ -175,38 +168,50 @@ class Envelope:
         # service cost processes the message in this very event when the
         # simulator certifies that is order- and accounting-identical.
         if finish == now and simulator.claim_inline_slot(finish):
-            # Nothing ran between the addressee check above and this
-            # call, so the resolution cannot have gone stale.
-            self._deliver_to(current)
+            self.deliver()
             return
         simulator.schedule_at_pooled(finish, self.deliver)
 
     def deliver(self) -> None:
-        """Service slot reached: hand the payload to the process."""
-        self._deliver_to(self.addressee())
-
-    def _deliver_to(self, current: Optional[SimulatedProcess]) -> None:
+        """Service slot reached: hand the payload to the process, or —
+        when it is gone — drop the message and run ``on_undeliverable``.
+        Either way the envelope goes back to the bus's freelist."""
+        bus = self.bus
+        current = bus._processes.get(self.to_address)
+        sent_epoch = self.sent_epoch
+        if sent_epoch is not None and bus._epoch_of(self.to_address) != sent_epoch:
+            current = None  # same address, different incarnation
         # Extract everything before releasing: the released envelope may
         # be re-acquired by a send issued inside the handler below.
-        bus = self.bus
         kind = self.kind
         message = self.message
         on_undeliverable = self.on_undeliverable
-        bus._finish(kind)
+        in_flight = bus._in_flight_by_kind
+        remaining = in_flight[kind] - 1
+        if remaining:
+            in_flight[kind] = remaining
+        else:
+            del in_flight[kind]
         obs = _obs.ACTIVE
         if current is None:
-            bus.messages_dropped.increment()
+            bus.messages_dropped += 1
             if obs.enabled:
                 obs.bus_dropped(bus.simulator.now, kind)
-            bus._release_envelope(self)
-            if on_undeliverable is not None:
-                on_undeliverable()
-            return
-        bus.messages_delivered.increment()
-        if obs.enabled:
-            obs.bus_delivered(bus.simulator.now, kind)
-        bus._release_envelope(self)
-        current.handle_message(message)
+        else:
+            bus.messages_delivered += 1
+            if obs.enabled:
+                obs.bus_delivered(bus.simulator.now, kind)
+        # Release: the generation bump invalidates any stamp captured
+        # while the envelope was live (see ``_parked_primaries``).
+        self.generation += 1
+        self.message = None
+        self.on_undeliverable = None
+        self.chained = None
+        bus._envelope_pool.append(self)
+        if current is not None:
+            current.handle_message(message)
+        elif on_undeliverable is not None:
+            on_undeliverable()
 
 
 class MessageBus:
@@ -247,14 +252,15 @@ class MessageBus:
         self._epoch_of = self._epochs.reader()
         self._busy_of = self._busy_until.reader()
         self.messages_sent = AtomicCounter()  # repro: owned-by: shared
-        self.messages_delivered = AtomicCounter()  # repro: owned-by: shared
-        self.messages_dropped = AtomicCounter()  # repro: owned-by: shared
-        self._in_flight_by_kind: TokenLedger[str] = TokenLedger()  # repro: owned-by: shared
-        #: Hoisted ledger mutators for the per-message hot path.
-        self._post_kind = self._in_flight_by_kind.post
-        self._settle_kind = self._in_flight_by_kind.settle
+        #: Outcome tallies, counted by ``Envelope.deliver``.
+        self.messages_delivered = 0  # repro: owned-by: sim-loop-confined
+        self.messages_dropped = 0  # repro: owned-by: sim-loop-confined
+        #: Messages sent but not yet delivered or dropped, per kind
+        #: (kinds with none in flight are absent). ``send`` posts,
+        #: ``Envelope.deliver`` settles.
+        self._in_flight_by_kind: Dict[str, int] = {}  # repro: owned-by: sim-loop-confined
         #: Envelope freelist and its traffic counters (sim-loop work
-        #: only — acquire in send, release at delivery/drop).
+        #: only — acquire in send, release in ``Envelope.deliver``).
         self._envelope_pool: List[Envelope] = []  # repro: owned-by: single-writer
         self._envelopes_created = 0  # repro: owned-by: single-writer
         self._envelopes_reused = 0  # repro: owned-by: single-writer
@@ -268,36 +274,6 @@ class MessageBus:
     # ------------------------------------------------------------------
     # envelope pool
     # ------------------------------------------------------------------
-    def _acquire_envelope(
-        self,
-        to_address: Hashable,
-        message,
-        kind: str,
-        on_undeliverable: Optional[Callable[[], None]],
-        sent_epoch: Optional[int],
-    ) -> Envelope:
-        pool = self._envelope_pool
-        if pool:
-            envelope = pool.pop()
-            envelope.to_address = to_address
-            envelope.message = message
-            envelope.kind = kind
-            envelope.on_undeliverable = on_undeliverable
-            envelope.sent_epoch = sent_epoch
-            self._envelopes_reused += 1
-            return envelope
-        self._envelopes_created += 1
-        return Envelope(self, to_address, message, kind, on_undeliverable, sent_epoch)
-
-    def _release_envelope(self, envelope: Envelope) -> None:
-        # The generation bump invalidates any stamp captured while the
-        # envelope was live (see ``_parked_primaries``).
-        envelope.generation += 1
-        envelope.message = None
-        envelope.on_undeliverable = None
-        envelope.chained = None
-        self._envelope_pool.append(envelope)
-
     def pool_stats(self) -> Dict[str, int]:
         """Envelope-freelist traffic: constructed, recycled, and idle."""
         return {
@@ -329,7 +305,7 @@ class MessageBus:
     # ------------------------------------------------------------------
     def in_flight(self, kind: str) -> int:
         """Messages of a given kind sent but not yet handled."""
-        return self._in_flight_by_kind.balance(kind)
+        return self._in_flight_by_kind.get(kind, 0)
 
     def send(
         self,
@@ -345,7 +321,8 @@ class MessageBus:
         this is how neighbours notice lost components.
         """
         self.messages_sent.increment()
-        self._post_kind(kind)
+        in_flight = self._in_flight_by_kind
+        in_flight[kind] = in_flight.get(kind, 0) + 1
         obs = _obs.ACTIVE
         if obs.enabled:
             obs.bus_sent(self.simulator.now, kind)
@@ -354,9 +331,18 @@ class MessageBus:
         # a registered address always has an epoch entry, so the hoisted
         # raw reader is equivalent to the ledger get here).
         sent_epoch = self._epoch_of(to_address) if to_address in self._processes else None
-        envelope = self._acquire_envelope(
-            to_address, message, kind, on_undeliverable, sent_epoch
-        )
+        pool = self._envelope_pool
+        if pool:
+            envelope = pool.pop()
+            envelope.to_address = to_address
+            envelope.message = message
+            envelope.kind = kind
+            envelope.on_undeliverable = on_undeliverable
+            envelope.sent_epoch = sent_epoch
+            self._envelopes_reused += 1
+        else:
+            self._envelopes_created += 1
+            envelope = Envelope(self, to_address, message, kind, on_undeliverable, sent_epoch)
         transit = self.latency.sample()
         # Schedule-perturbation sanitizer hook: an installed policy may
         # stretch network transit by bounded jitter (0.0 by default).
@@ -383,6 +369,3 @@ class MessageBus:
             simulator.schedule_at_pooled(arrive_at, envelope.arrive)
             return
         simulator.schedule_pooled(transit, envelope.arrive)
-
-    def _finish(self, kind: str) -> None:
-        self._settle_kind(kind)

@@ -45,7 +45,7 @@ class TestTokenHandling:
     def test_token_routed_and_retired(self, system):
         host = root_host(system)
         token = Token(0, 0, 0.0)
-        system._inflight.post((), 1)
+        system._inflight[()] = 1
         host.handle_message(TokenMsg((), 0, token))
         assert token.value == 0
         assert token.exit_wire == 0
@@ -55,7 +55,7 @@ class TestTokenHandling:
         host = root_host(system)
         host.freeze(())
         token = Token(0, 0, 0.0)
-        system._inflight.post((), 1)
+        system._inflight[()] = 1
         host.handle_message(TokenMsg((), 3, token))
         assert token.value is None
         assert host.buffers[()] == [(3, token)]
@@ -69,7 +69,7 @@ class TestTokenHandling:
         token = Token(9, 0, 0.0)
         # Address the token to the now-dead root; any host will reroute.
         host = next(iter(system.hosts.values()))
-        system._inflight.post((), 1)
+        system._inflight[()] = 1
         host.handle_message(TokenMsg((), 0, token))
         system.run_until_quiescent()
         assert token.value is not None

@@ -8,42 +8,61 @@ from repro.runtime.system import MAX_REROUTES, AdaptiveCountingSystem
 from repro.runtime.tokens import Token
 
 
+def ship(system, mode, path, pairs):
+    """Send (port, token) pairs to ``path`` one message per token
+    (``send_token``) or as one combined message (``dispatch_batch``)."""
+    if mode == "send_token":
+        for port, token in pairs:
+            system.send_token(path, port, token)
+    else:
+        system.dispatch_batch(path, list(pairs))
+
+
+MODES = ["send_token", "dispatch_batch"]
+
+
 class TestUndeliveredBatchBookkeeping:
-    def test_inflight_empties_after_undeliverable_batch(self):
-        """`_batch_undelivered` must hand every item of the batch back
-        through `note_token_arrived`, leaving `_inflight` empty — a
-        leaked entry would stall `drain_paths` (merges) forever."""
+    @pytest.mark.parametrize("mode", MODES)
+    def test_inflight_empties_after_undeliverable_batch(self, mode):
+        """A bounced message must hand every token it carried back
+        through the in-flight ledger, leaving `_inflight` empty — a
+        leaked entry would stall `drain_paths` (merges) forever. The
+        tokens stay owed to their inputs until a retry delivers them."""
         system = AdaptiveCountingSystem(width=8, seed=41, initial_nodes=3)
         owner = system.directory.owner(())
         host = system.hosts[owner]
         tokens = [Token(900 + i, i, system.sim.now) for i in range(3)]
         system.token_stats.issued += len(tokens)
-        system.dispatch_batch((), [(i, t) for i, t in enumerate(tokens)])
+        ship(system, mode, (), enumerate(tokens))
         assert system._inflight[()] == 3
+        assert [system.tokens_owed((), i) for i in range(3)] == [1, 1, 1]
         # The owner silently disappears from the bus before delivery
-        # (crash window): the batch bounces via on_undeliverable.
+        # (crash window): the message bounces via on_undeliverable.
         system.bus.unregister(owner)
         system.advance(2.0)
         assert system._inflight == {}
         assert all(t.reroutes == 1 for t in tokens)
+        assert [system.tokens_owed((), i) for i in range(3)] == [1, 1, 1]
         # The process comes back; the scheduled retries deliver.
         system.bus.register(owner, host)
         system.run_until_quiescent()
         assert all(t.value is not None for t in tokens)
         assert system._inflight == {}
+        assert system._owed == {}
         system.verify()
 
-    def test_retry_chain_terminates_at_max_reroutes(self):
-        """A batch bouncing forever (owner never returns) drops each
+    @pytest.mark.parametrize("mode", MODES)
+    def test_retry_chain_terminates_at_max_reroutes(self, mode):
+        """A message bouncing forever (owner never returns) drops each
         token after MAX_REROUTES retries, with the drop recorded in
-        both stats and `_inflight` left clean."""
+        both stats and `_inflight` and the owed ledger left clean."""
         system = AdaptiveCountingSystem(
             width=8, seed=42, initial_nodes=3, auto_stabilize=False
         )
         owner = system.directory.owner(())
         token = Token(900, 0, system.sim.now)
         system.token_stats.issued += 1
-        system.dispatch_batch((), [(0, token)])
+        ship(system, mode, (), [(0, token)])
         system.bus.unregister(owner)
         system.run_until_quiescent()
         assert token.reroutes == MAX_REROUTES + 1
@@ -51,6 +70,8 @@ class TestUndeliveredBatchBookkeeping:
         assert system.token_stats.dropped == 1
         assert system.stats.dropped_tokens == 1
         assert system._inflight == {}
+        assert system.tokens_owed((), 0) == 0
+        assert system._owed == {}
         assert system.sim.pending == 0
 
 

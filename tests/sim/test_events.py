@@ -1,9 +1,11 @@
 """Tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import Simulator
+from repro.sim.events import FifoPolicy, PerturbedPolicy, Simulator
 
 
 class TestScheduling:
@@ -252,3 +254,126 @@ class TestRunning:
         sim.run_until_idle()
         sim.run_until(2.0)
         assert sim.now == 4.0
+
+
+#: One simulator factory per bucket representation: the default FIFO
+#: deques, FifoPolicy's keyed heaps, and two perturbed orders.
+SIMULATORS = {
+    "default": lambda: Simulator(),
+    "fifo-policy": lambda: Simulator(policy=FifoPolicy()),
+    "perturbed-1": lambda: Simulator(policy=PerturbedPolicy(random.Random(1))),
+    "perturbed-2": lambda: Simulator(policy=PerturbedPolicy(random.Random(2))),
+}
+POLICIES = sorted(SIMULATORS)
+
+
+def _mixed_bucket(sim, log, at=1.0, bare=True):
+    """Queue seven events at one timestamp — bare callbacks, live
+    handles and handles that get cancelled, interleaved — and return
+    the labels expected to fire, in scheduling order. With ``bare``
+    false the would-be bare callbacks are queued as handles instead."""
+    kinds = ["bare", "cancelled", "handle", "bare", "cancelled", "handle", "bare"]
+    doomed = []
+    for index, kind in enumerate(kinds):
+        label = "%s%d" % (kind, index)
+        callback = lambda label=label: log.append(label)  # noqa: E731
+        if kind == "bare" and bare:
+            sim.schedule_at_pooled(at, callback)
+        else:
+            handle = sim.schedule_at(at, callback)
+            if kind == "cancelled":
+                doomed.append(handle)
+    for handle in doomed:
+        sim.cancel(handle)
+    return ["%s%d" % (kind, i) for i, kind in enumerate(kinds) if kind != "cancelled"]
+
+
+class TestMixedBuckets:
+    """Buckets that hold bare fire-and-forget callbacks, live handles
+    and cancelled handles at one timestamp."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_dispatch_order_and_lazy_skipping(self, policy):
+        sim = SIMULATORS[policy]()
+        log = []
+        live = _mixed_bucket(sim, log)
+        assert sim.pending == len(live)
+        assert sim.run_until_idle() == len(live)
+        assert sim.events_run == len(live)
+        assert sorted(log) == sorted(live)  # cancelled entries never fire
+        assert sim.pending == 0
+        if policy in ("default", "fifo-policy"):
+            assert log == live  # ties break by scheduling order
+        # Bare callbacks and handles take the same place in the order:
+        # an all-handle bucket under the same policy fires identically.
+        reference = SIMULATORS[policy]()
+        order = []
+        _mixed_bucket(reference, order, bare=False)
+        reference.run_until_idle()
+        assert order == log
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_pending_tracks_cancellation_and_firing(self, policy):
+        sim = SIMULATORS[policy]()
+        log = []
+        handles = [sim.schedule(1.0, lambda: log.append("h")) for _ in range(2)]
+        sim.schedule_pooled(1.0, lambda: log.append("b"))
+        assert sim.pending == 3
+        sim.cancel(handles[0])
+        assert sim.pending == 2
+        assert sim.step() is True
+        assert sim.pending == 1
+        assert sim.step() is True
+        assert sim.pending == 0
+        assert sim.step() is False
+        assert sorted(log) == ["b", "h"]
+        assert not handles[1].live  # fired
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_claim_clears_cancelled_head_before_a_bare_callback(self, policy):
+        sim = SIMULATORS[policy]()
+        log = []
+        head = sim.schedule(0.0, lambda: log.append("cancelled"))
+        sim.schedule_pooled(0.0, lambda: log.append("bare"))
+        sim.cancel(head)
+        if policy.startswith("perturbed"):
+            # Only a cancelled head is housekeeping; find the order.
+            heads = [entry for _key, entry in sorted(sim._buckets[0.0])]
+            cancelled_first = heads[0] is head
+        else:
+            cancelled_first = True
+        # A live bare callback is queued at this instant, so the claim
+        # must be refused — after dropping a cancelled head, if any.
+        assert sim.claim_inline_slot(0.0) is False
+        assert sim.pending == 1
+        assert sim._cancelled == (0 if cancelled_first else 1)
+        assert sim.events_run == 0
+        assert sim.run_until_idle() == 1
+        assert log == ["bare"]
+        assert sim._cancelled == 0
+        assert sim.claim_inline_slot(0.0) is True
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("runner", ["run_until_idle", "run_until"])
+    def test_max_events_bound_is_exact(self, policy, runner):
+        def run(sim, bound):
+            if runner == "run_until_idle":
+                return sim.run_until_idle(max_events=bound)
+            return sim.run_until(2.0, max_events=bound)
+
+        sim = SIMULATORS[policy]()
+        log = []
+        live = _mixed_bucket(sim, log)
+        assert run(sim, len(live)) == len(live)  # cancelled cost no slot
+
+        sim = SIMULATORS[policy]()
+        log = []
+        live = _mixed_bucket(sim, log)
+        with pytest.raises(SimulationError):
+            run(sim, len(live) - 1)
+        assert len(log) == len(live) - 1
+        assert sim.events_run == len(live) - 1
+        # The event the bound refused is still queued, and still live.
+        assert sim.pending == 1
+        assert sim.run_until_idle() == 1
+        assert sorted(log) == sorted(live)

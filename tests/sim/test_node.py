@@ -153,9 +153,15 @@ class ClosureMessageBus(MessageBus):
     the envelope bus and require bit-identical schedules.
     """
 
+    def _finish(self, kind):
+        in_flight = self._in_flight_by_kind
+        in_flight[kind] -= 1
+        if not in_flight[kind]:
+            del in_flight[kind]
+
     def send(self, to_address, message, kind="message", on_undeliverable=None):
         self.messages_sent += 1
-        self._in_flight_by_kind.post(kind)
+        self._in_flight_by_kind[kind] = self._in_flight_by_kind.get(kind, 0) + 1
         transit = self.latency.sample()
         sent_epoch = self._epochs.get(to_address) if self.is_registered(to_address) else None
 

@@ -1,14 +1,12 @@
 """Object-pool lifecycle and ABA regression tests.
 
-Three freelists keep the simulator hot path allocation-free in steady
-state: the per-bus :class:`Envelope` pool, the simulator's pooled
-:class:`EventHandle` freelist, and the opt-in
+Two freelists keep the simulator hot path allocation-free in steady
+state: the per-bus :class:`Envelope` pool and the opt-in
 :class:`~repro.runtime.tokens.TokenPool`. Recycling a record that
 something still references is the classic ABA hazard; these tests pin
 the disciplines that prevent it — generation stamps (envelopes,
-tokens), unobservability (pooled handles), and extract-before-release
-(delivery paths) — plus the opt-in same-edge coalescing built on the
-envelope stamps.
+tokens) and extract-before-release (delivery paths) — plus the opt-in
+same-edge coalescing built on the envelope stamps.
 """
 
 import random
@@ -52,11 +50,11 @@ class TestEnvelopePool:
         assert stats["free"] == 1  # idle: the one record is home again
 
     def test_release_bumps_generation(self):
-        _sim, bus, _receiver = make_bus()
-        envelope = bus._acquire_envelope("a", "m", "msg", None, None)
-        stamp = envelope.generation
-        bus._release_envelope(envelope)
-        assert envelope.generation == stamp + 1
+        sim, bus, _receiver = make_bus()
+        bus.send("a", "m", on_undeliverable=lambda: None)
+        sim.run_until_idle()
+        (envelope,) = bus._envelope_pool  # released by its delivery
+        assert envelope.generation == 1
         # Scrubbed on release: no payload or callback is retained.
         assert envelope.message is None
         assert envelope.on_undeliverable is None
@@ -98,8 +96,8 @@ class TestCoalescing:
         coal_sim.run_until_idle()
         # Same deliveries, same order, same accounting...
         assert plain_receiver.received == coal_receiver.received == [0, 1, 2]
-        assert plain_bus.messages_delivered.get() == 3
-        assert coal_bus.messages_delivered.get() == 3
+        assert plain_bus.messages_delivered == 3
+        assert coal_bus.messages_delivered == 3
         # ...but the coalesced burst costs fewer events (one arrival
         # trampoline instead of three).
         assert coal_sim.events_run.get() < plain_sim.events_run.get()
@@ -122,18 +120,20 @@ class TestCoalescing:
         sim, bus, receiver = make_bus(coalesce=True)
         # An envelope that lived and died: released records return to
         # the freelist with a bumped generation.
-        envelope = bus._acquire_envelope("a", "old", "msg", None, None)
-        stamp = envelope.generation
-        bus._release_envelope(envelope)
+        bus.send("a", "old")
+        sim.run_until_idle()
+        (envelope,) = bus._envelope_pool
+        stamp = envelope.generation - 1
+        receiver.received.clear()
         # Plant the stale entry, simulating a missed unpark. The next
         # send re-acquires this exact record from the freelist, so
         # without the stamp check it would chain mail onto itself —
         # mail that nothing is scheduled to drain.
-        bus._parked_primaries[("a", 1.0)] = (envelope, stamp)
+        bus._parked_primaries[("a", sim.now + 1.0)] = (envelope, stamp)
         bus.send("a", "fresh")
         sim.run_until_idle()
         assert receiver.received == ["fresh"]
-        assert bus.messages_dropped.get() == 0
+        assert bus.messages_dropped == 0
         assert not bus._parked_primaries
 
     def test_chained_mail_guarded_by_live_stamp(self):
@@ -149,30 +149,6 @@ class TestCoalescing:
         assert [env.message for env in primary.chained] == ["two", "three"]
         sim.run_until_idle()
         assert receiver.received == ["one", "two", "three"]
-
-
-class TestHandlePool:
-    def test_pooled_handles_recycle(self):
-        sim = Simulator()
-        fired = []
-        for index in range(30):
-            sim.schedule_pooled(0.5, lambda index=index: fired.append(index))
-            sim.run_until_idle()
-        assert fired == list(range(30))
-        stats = sim.pool_stats()
-        assert stats["created"] == 1
-        assert stats["reused"] == 29
-        assert stats["free"] == 1
-
-    def test_cancellable_schedule_never_pools(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        assert not handle.pooled
-        sim.run_until_idle()
-        # A caller-held handle must stay valid (and un-recycled)
-        # indefinitely after firing.
-        assert sim.pool_stats() == {"created": 0, "reused": 0, "free": 0}
-        assert not sim.cancel(handle)  # fired: cancel is a no-op
 
 
 class TestTokenPool:
@@ -237,7 +213,7 @@ class TestSystemRecycling:
         assert stats["created"] + stats["reused"] == 20
         system.verify()
 
-    def test_publish_pool_stats_snapshots_all_three_pools(self):
+    def test_publish_pool_stats_snapshots_both_pools(self):
         from repro.runtime.system import AdaptiveCountingSystem
 
         system = AdaptiveCountingSystem(
@@ -247,10 +223,10 @@ class TestSystemRecycling:
         system.inject_token()
         system.run_until_quiescent()
         snapshot = system.publish_pool_stats()
-        assert set(snapshot) == {"envelopes", "tokens", "handles"}
+        assert set(snapshot) == {"envelopes", "tokens"}
         for pool_stats in snapshot.values():
             assert set(pool_stats) == {"created", "reused", "free"}
-        assert snapshot["handles"]["created"] > 0
+        assert snapshot["envelopes"]["created"] > 0
 
     def test_snapshot_agrees_with_the_pools_own_accounting(self):
         from repro.runtime.system import AdaptiveCountingSystem
@@ -265,7 +241,6 @@ class TestSystemRecycling:
         snapshot = system.publish_pool_stats()
         assert snapshot["tokens"] == system.token_pool.stats()
         assert snapshot["envelopes"] == system.bus.pool_stats()
-        assert snapshot["handles"] == system.sim.pool_stats()
         # Every issued token came out of the pool, one way or the other.
         tokens = snapshot["tokens"]
         assert tokens["created"] + tokens["reused"] == 10
