@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.analysis.theory import TheoryModel
 from repro.chord.ring import ChordRing
@@ -104,6 +104,11 @@ class LevelEstimator:
             earlier < later
             for earlier, later in zip(self._phi_table, self._phi_table[1:])
         )
+        # ell_v depends only on the ring's membership, and the rules ask
+        # for it many times between membership changes: keep each
+        # node's value until the ring's version moves.
+        self._levels: Dict[int, int] = {}
+        self._levels_version = ring.version
 
     def level_for_estimate(self, estimate: float) -> int:
         """The largest level with ``phi(level) < estimate``."""
@@ -117,7 +122,15 @@ class LevelEstimator:
 
     def level_estimate(self, node_id: int) -> int:
         """The node's ``ell_v``."""
-        return self.level_for_estimate(self.sizes.size_estimate(node_id))
+        version = self.sizes.ring.version
+        if version != self._levels_version:
+            self._levels = {}
+            self._levels_version = version
+        level = self._levels.get(node_id)
+        if level is None:
+            level = self.level_for_estimate(self.sizes.size_estimate(node_id))
+            self._levels[node_id] = level
+        return level
 
     def ideal_level(self, n: Optional[int] = None) -> int:
         """``ell*`` for the true system size (or a given ``n``)."""

@@ -17,6 +17,11 @@ the root — and named by its position in a pre-order traversal of ``T_w``
 (the paper's naming scheme). Both directions (path -> pre-order index
 and back) are computed in ``O(depth)`` arithmetic without materialising
 the tree.
+
+Nodes are built lazily but only once: a spec builds its children on
+first use and keeps them, and a tree keeps every node it has been asked
+for by path. The cut checks and the token path re-derive the same nodes
+constantly, so navigation is a table read after the first visit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StructureError
 
@@ -88,6 +93,10 @@ class ComponentSpec:
     width: int
     path: Tuple[int, ...]
 
+    #: The children, built by :meth:`_child_specs` on first use. Not a
+    #: dataclass field, so equality, hash and repr ignore it.
+    _children = None
+
     def __post_init__(self):
         _check_width(self.width)
 
@@ -111,19 +120,35 @@ class ComponentSpec:
         """Number of children (6 for BITONIC, 4 for MERGER, 2 for MIX)."""
         return 0 if self.is_leaf else len(_CHILD_KINDS[self.kind])
 
+    def _child_specs(self) -> Tuple["ComponentSpec", ...]:
+        """The children, in child-index order (``()`` for a leaf)."""
+        children = self._children
+        if children is None:
+            half = self.width // 2
+            children = () if self.is_leaf else tuple(
+                ComponentSpec(kind, half, self.path + (index,))
+                for index, kind in enumerate(_CHILD_KINDS[self.kind])
+            )
+            object.__setattr__(self, "_children", children)
+        return children
+
     def child(self, index: int) -> "ComponentSpec":
         """The ``index``-th child component (width halves, level grows)."""
-        kinds = self.child_kinds()
-        if not 0 <= index < len(kinds):
+        children = self._children or self._child_specs()
+        if not 0 <= index < len(children):
+            if not children:
+                raise StructureError(
+                    "a width-2 component (balancer) has no children: %s" % (self,)
+                )
             raise StructureError(
                 "child index %d out of range for %s (%d children)"
-                % (index, self, len(kinds))
+                % (index, self, len(children))
             )
-        return _child_spec(self.kind, self.width, self.path, index)
+        return children[index]
 
     def children(self) -> List["ComponentSpec"]:
-        """All children, in child-index order."""
-        return [self.child(i) for i in range(self.num_children())]
+        """All children, in child-index order (a fresh list each call)."""
+        return list(self._children or self._child_specs())
 
     def label(self) -> str:
         """Short human-readable label, e.g. ``B[8]@(0,2)``."""
@@ -131,16 +156,6 @@ class ComponentSpec:
 
     def __str__(self):
         return self.label()
-
-
-@functools.lru_cache(maxsize=None)
-def _child_spec(
-    kind: ComponentKind, width: int, path: Tuple[int, ...], index: int
-) -> ComponentSpec:
-    """Interned child specs: the token hot path re-derives the same
-    parent->child steps constantly, and the tree is small enough to keep
-    every spec alive."""
-    return ComponentSpec(_CHILD_KINDS[kind][index], width // 2, path + (index,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,8 +174,9 @@ def subtree_size(kind: ComponentKind, width: int) -> int:
 class DecompositionTree:
     """``T_w`` — the full decomposition tree of ``BITONIC[w]``.
 
-    The tree is *virtual*: nodes are :class:`ComponentSpec` values
-    constructed on demand, so arbitrarily large widths are cheap. The
+    The tree is *virtual*: nodes are :class:`ComponentSpec` values built
+    on first use and then kept, so arbitrarily large widths are cheap and
+    a node asked for again is a table read. The
     class provides navigation (parent/children/ancestors), the paper's
     pre-order naming scheme, and the level-population function
     ``phi(level)`` used by the splitting/merging rules of Section 3.
@@ -171,6 +187,8 @@ class DecompositionTree:
             raise StructureError("network width must be a power of two >= 2, got %r" % (width,))
         self.width = width
         self.root = ComponentSpec(ComponentKind.BITONIC, width, ())
+        #: Every node asked for so far, by path.
+        self._nodes: Dict[Tuple[int, ...], ComponentSpec] = {(): self.root}
 
     # ------------------------------------------------------------------
     # navigation
@@ -180,11 +198,16 @@ class DecompositionTree:
         """Deepest level of ``T_w`` (the level of the balancer leaves)."""
         return self.width.bit_length() - 2  # log2(width) - 1
 
-    def node(self, path: Tuple[int, ...]) -> ComponentSpec:
+    def node(self, path: Sequence[int]) -> ComponentSpec:
         """The component at ``path``; raises for invalid paths."""
+        try:
+            return self._nodes[path]
+        except (KeyError, TypeError):  # not built yet, or not a tuple
+            pass
         spec = self.root
         for index in path:
             spec = spec.child(index)
+        self._nodes[tuple(path)] = spec
         return spec
 
     def parent(self, spec: ComponentSpec) -> Optional[ComponentSpec]:

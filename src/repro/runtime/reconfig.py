@@ -46,6 +46,8 @@ class Reconfigurator:
 
     def __init__(self, system):
         self.system = system
+        #: (kind, width) -> child indices fed by the parent's inputs.
+        self._input_fed_cache: Dict[Tuple[object, int], frozenset] = {}
 
     # ------------------------------------------------------------------
     # split
@@ -92,18 +94,15 @@ class Reconfigurator:
     # ------------------------------------------------------------------
     def _input_fed_children(self, parent) -> frozenset:
         """Child indices that receive some of the parent's own inputs."""
-        cache = getattr(self, "_input_fed_cache", None)
-        if cache is None:
-            cache = self._input_fed_cache = {}
         key = (parent.kind, parent.width)
-        fed = cache.get(key)
+        fed = self._input_fed_cache.get(key)
         if fed is None:
             wiring = self.system.wiring
             fed = frozenset(
                 wiring.parent_input_dest(parent, port).child
                 for port in range(parent.width)
             )
-            cache[key] = fed
+            self._input_fed_cache[key] = fed
         return fed
 
     def input_boundary(self, path: Path, subtree: List[Path]) -> List[Path]:
@@ -116,10 +115,10 @@ class Reconfigurator:
         works for any recursive structure).
         """
         depth = len(path)
-        tree = self.system.tree
+        root = self.system.tree.node(path)
         boundary = []
         for member in subtree:
-            spec = tree.node(path)
+            spec = root
             fed = True
             for index in member[depth:]:
                 if index not in self._input_fed_children(spec):

@@ -151,8 +151,21 @@ def check_transition(
     """
     if source is None:
         source = "transition(w=%d)" % tree.width
-    report = Report()
     old_report = check_cut(tree, old_paths, source="%s:old" % source)
+    return _check_transition(tree, old_paths, new_paths, source, old_report)
+
+
+def _check_transition(
+    tree,
+    old_paths: Iterable[Path],
+    new_paths: Iterable[Path],
+    source: str,
+    old_report: Report,
+) -> Report:
+    """:func:`check_transition` given the ``check_cut`` report of the
+    old endpoint (made with ``source="<source>:old"``), so a caller that
+    already walked the old cut does not walk it again."""
+    report = Report()
     new_report = check_cut(tree, new_paths, source="%s:new" % source)
     report.extend(old_report).extend(new_report)
     if not report.ok:
@@ -223,9 +236,12 @@ def check_split(tree, live_paths: Iterable[Path], path: Path, source: Optional[s
     if spec.is_leaf:
         report.add("RSC206", "cannot split the balancer %s" % (spec,), source)
         return report
-    if is_valid_cut(tree, live):
+    # One walk of the live set serves both as the validity test and as
+    # the transition's old-endpoint check.
+    live_report = check_cut(tree, live, source="%s:old" % source)
+    if live_report.ok:
         target = (live - {path}) | {child.path for child in spec.children()}
-        report.extend(check_transition(tree, live, target, source))
+        report.extend(_check_transition(tree, live, target, source, live_report))
     return report
 
 

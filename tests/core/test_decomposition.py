@@ -214,3 +214,63 @@ class TestInputLeaves:
         tree = DecompositionTree(2)
         assert tree.input_leaf(0) == tree.root
         assert tree.root.is_leaf
+
+
+class TestInternedTree:
+    """Nodes and child lists are built once and then read from tables."""
+
+    def test_node_is_interned(self):
+        tree = DecompositionTree(16)
+        assert tree.node((2, 3)) is tree.node((2, 3))
+        assert tree.node((2, 3)) is tree.root.child(2).child(3)
+
+    def test_list_paths_accepted(self):
+        tree = DecompositionTree(16)
+        assert tree.node([2, 3]) is tree.node((2, 3))
+        assert tree.node([]) is tree.root
+
+    def test_invalid_path_raises_every_call_and_is_not_kept(self):
+        tree = DecompositionTree(8)
+        for path in ((6,), (0, 0, 0), [4, 2], (-1,)):
+            for _ in range(2):
+                with pytest.raises(StructureError):
+                    tree.node(path)
+            assert tuple(path) not in tree._nodes
+
+    def test_children_returns_a_fresh_list(self):
+        root = DecompositionTree(8).root
+        children = root.children()
+        children.clear()
+        children.append(root)
+        assert [c.path for c in root.children()] == [(i,) for i in range(6)]
+        assert root.children() is not root.children()
+        leaf = root.child(0).child(0)
+        assert leaf.children() == []
+
+    def test_cached_children_leave_equality_hash_and_repr_alone(self):
+        spec = DecompositionTree(8).root.child(2)
+        fresh = ComponentSpec(ComponentKind.MERGER, 4, (2,))
+        spec.children()  # builds spec's child table, not fresh's
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert repr(spec) == repr(fresh)
+
+    def test_navigation_agrees_with_a_fresh_walk(self):
+        tree = DecompositionTree(16)
+
+        def walk(path):
+            spec = ComponentSpec(ComponentKind.BITONIC, 16, ())
+            for index in path:
+                kind = spec.child_kinds()[index]
+                spec = ComponentSpec(kind, spec.width // 2, spec.path + (index,))
+            return spec
+
+        for index, spec in enumerate(tree.iter_preorder()):
+            assert spec == walk(spec.path)
+            assert tree.node(spec.path) == walk(spec.path)
+            parent = tree.parent(spec)
+            assert parent == (walk(spec.path[:-1]) if spec.path else None)
+            assert list(tree.ancestors(spec)) == [
+                walk(spec.path[:end]) for end in range(len(spec.path) - 1, -1, -1)
+            ]
+            assert tree.preorder_index(spec) == index
+            assert tree.from_preorder_index(index) == walk(spec.path)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chord.estimation import LevelEstimator
 from repro.runtime.system import AdaptiveCountingSystem
 
 
@@ -92,3 +93,24 @@ class TestConvergence:
         values = [system.next_value() for _ in range(40)]
         assert sorted(values) == list(range(40))
         system.verify()
+
+
+class TestLevelEstimateMemo:
+    """ell_v is kept per node until the ring's membership changes."""
+
+    @pytest.mark.parametrize("change", ["add_node", "remove_node", "crash_node"])
+    def test_memo_follows_membership_changes(self, change):
+        system = AdaptiveCountingSystem(width=64, seed=11, initial_nodes=24)
+        system.converge()
+        moved = False
+        for _ in range(8):
+            before = {nid: system.rules.node_level(h) for nid, h in system.hosts.items()}
+            getattr(system, change)()
+            fresh = LevelEstimator(
+                system.width, system.ring, system.step_multiplier, tree=system.tree
+            )
+            for node_id, host in system.hosts.items():
+                level = system.rules.node_level(host)
+                assert level == fresh.level_estimate(node_id)
+                moved |= node_id in before and before[node_id] != level
+        assert moved  # some memoised value had to be replaced
