@@ -304,14 +304,12 @@ def bench_large_churn(params: Dict, seed: int) -> ScenarioResult:
 # scenario: wheel-heavy scale test (the ISSUE 9 calendar-queue payoff)
 # ----------------------------------------------------------------------
 def bench_huge_churn(params: Dict, seed: int) -> ScenarioResult:
-    """The scale configuration the calendar queue and the object pools
-    were built for: thousands of nodes, a token stream injected in
-    same-instant bursts, and :class:`DiscreteLatency` (a few distinct
-    path classes) so messages pile into shared timestamp buckets instead
-    of degenerating to one bucket per event. Same-edge coalescing and
-    token recycling are ON — this scenario deliberately exercises the
-    opt-in fast paths the fingerprinted scenarios leave off — and a
-    seeded Poisson membership trace churns the ring underneath.
+    """The scale configuration the calendar queue was built for:
+    thousands of nodes, a token stream injected in same-instant bursts,
+    and :class:`DiscreteLatency` (a few distinct path classes) so
+    messages pile into shared timestamp buckets instead of degenerating
+    to one bucket per event, while a seeded Poisson membership trace
+    churns the ring underneath.
 
     Zero tokens may drop: recovery is enabled, so a drop means the
     token plane lost work, and the scenario aborts rather than report a
@@ -343,8 +341,6 @@ def bench_huge_churn(params: Dict, seed: int) -> ScenarioResult:
         seed=seed,
         initial_nodes=nodes,
         latency=DiscreteLatency(list(latency_values), random.Random(seed + 2)),
-        coalesce=True,
-        recycle_tokens=True,
     )
     system.converge()
     events_before = system.sim.events_run.get()
@@ -390,7 +386,6 @@ def bench_huge_churn(params: Dict, seed: int) -> ScenarioResult:
             "profile requires a zero-drop run" % dropped
         )
     events = system.sim.events_run.get() - events_before
-    pools = system.publish_pool_stats()
     metrics = {
         "width": width,
         "nodes": system.num_nodes,
@@ -403,10 +398,6 @@ def bench_huge_churn(params: Dict, seed: int) -> ScenarioResult:
         "mean_sim_latency": stats.mean_latency,
         "messages_sent": system.bus.messages_sent.get(),
         "sim_time": system.sim.now,
-        "envelopes_created": pools["envelopes"]["created"],
-        "envelopes_reused": pools["envelopes"]["reused"],
-        "tokens_created": pools["tokens"]["created"],
-        "tokens_reused": pools["tokens"]["reused"],
         "events_per_sec": events / elapsed,
         "peak_rss_kb": _peak_rss_kb(),
     }

@@ -146,13 +146,6 @@ class NullRecorder:
     def owed_delta(self, delta: int) -> None:
         """The emitted-but-not-arrived ledger changed by ``delta``."""
 
-    # -- object pools ---------------------------------------------------
-    def pool_stats(self, name: str, created: int, reused: int, free: int) -> None:
-        """Snapshot of one freelist's lifetime traffic (envelopes,
-        tokens, event handles). Published at section boundaries, not per
-        event — pools are hot-path machinery and must not pay an obs
-        call per acquire."""
-
     # -- control plane --------------------------------------------------
     def stabilization(self, ts_begin: float, ts_end: float, restored: int) -> None:
         """One crash-recovery episode restored ``restored`` components."""
@@ -384,13 +377,6 @@ class Recorder(NullRecorder):
 
     def owed_delta(self, delta: int) -> None:
         self._g_owed.add(delta)
-
-    # -- object pools ---------------------------------------------------
-    def pool_stats(self, name: str, created: int, reused: int, free: int) -> None:
-        metrics = self.metrics
-        metrics.gauge("pool.created", (name,)).set(created)
-        metrics.gauge("pool.reused", (name,)).set(reused)
-        metrics.gauge("pool.free", (name,)).set(free)
 
     # -- control plane --------------------------------------------------
     def stabilization(self, ts_begin: float, ts_end: float, restored: int) -> None:

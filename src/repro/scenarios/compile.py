@@ -152,8 +152,6 @@ def build_system(
         convention=_CONVENTIONS[spec.convention],
         step_multiplier=spec.step_multiplier,
         hysteresis=spec.hysteresis,
-        coalesce=spec.coalesce,
-        recycle_tokens=spec.recycle_tokens,
     )
     system.converge()
     return system
@@ -327,8 +325,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
                 "effective_width": metrics.effective_width,
                 "effective_depth": metrics.effective_depth,
             }
-        if "pools" in spec.record:
-            entry["pools"] = s.publish_pool_stats()
         summary["systems"].append(entry)
 
     if "app" in spec.record:

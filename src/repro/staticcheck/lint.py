@@ -49,19 +49,6 @@ linter needed, so the gate runs anywhere the package imports:
     re-checks state that already resolved. Bind the handle and
     ``cancel()`` it on the success path.
 
-``RSC307`` — pooled hot-path records are constructed only in their
-    home module.
-    :class:`~repro.runtime.tokens.Token` and the bus's ``Envelope``
-    are freelist-pooled: their home modules reset every mutable field
-    on reuse and stamp a ``generation`` so stale references are
-    detectable. A direct ``Token(...)`` / ``Envelope(...)`` call
-    anywhere else in ``repro.*`` bypasses the pool — the record never
-    recycles, the pool's created/reused accounting lies, and a future
-    field added to the class gets initialised in one place but not the
-    other. Acquire from :class:`~repro.runtime.tokens.TokenPool` (or
-    the system's injection API) and let the bus build envelopes. Tests
-    and fixtures are exempt — the rule is scoped to ``repro.*``.
-
 ``RSC308`` — committed scenario specs must validate.
     The declarative scenario library (``repro.scenarios``) is data the
     smoke matrix and the bench bridge both load at run time; a spec
@@ -133,15 +120,6 @@ _TIMEOUT_FRAGMENTS = ("timeout", "expire", "deadline")
 #: record call for RSC306 (``obs.token_hop``, ``recorder.rpc_issued``,
 #: ``self.metrics.counter``, ``trace.add``, ``_obs.ACTIVE...``).
 _OBS_RECEIVER_FRAGMENTS = ("obs", "recorder", "metrics", "trace")
-
-#: Freelist-pooled record types and the one module allowed to construct
-#: each (RSC307). Exact class names — subclasses or lookalikes in tests
-#: are out of scope, as is any module outside ``repro.``.
-_POOLED_TYPES: Dict[str, str] = {
-    "Token": "repro.runtime.tokens",
-    "Envelope": "repro.sim.node",
-}
-
 
 def _is_obs_receiver(node: ast.expr) -> bool:
     """Whether a call receiver names an observability object."""
@@ -387,30 +365,9 @@ class _LintVisitor(ast.NodeVisitor):
         func = node.func
         if isinstance(func, ast.Attribute):
             self._check_attribute_call(node, func)
-            self._check_pooled_construction(node, func.attr)
         elif isinstance(func, ast.Name):
             self._check_name_call(node, func)
-            self._check_pooled_construction(node, func.id)
         self.generic_visit(node)
-
-    def _check_pooled_construction(self, node: ast.Call, name: str) -> None:
-        """RSC307: ``Token(...)`` / ``Envelope(...)`` outside the home
-        module bypasses the freelist pool (and its field-reset and
-        generation-stamp discipline). Scoped to ``repro.*`` so tests
-        and fixtures may build records directly."""
-        home = _POOLED_TYPES.get(name)
-        if home is None or not self.module.startswith("repro."):
-            return
-        if self.module == home:
-            return
-        self.report.add(
-            "RSC307",
-            "direct %s(...) construction outside its home module %s "
-            "bypasses the freelist pool; acquire through the pool API "
-            "instead" % (name, home),
-            self.filename,
-            line=node.lineno,
-        )
 
     def _check_attribute_call(self, node: ast.Call, func: ast.Attribute) -> None:
         base = func.value

@@ -103,15 +103,13 @@ class TestRunScenario:
 
     def test_record_groups_gate_summary_sections(self):
         bare = run_scenario(make_spec()).summary["systems"][0]
-        assert "latency" not in bare and "pools" not in bare
+        assert "latency" not in bare
         full = run_scenario(
-            make_spec(record=["tokens", "latency", "messages",
-                              "adaptation", "pools"])
+            make_spec(record=["tokens", "latency", "messages", "adaptation"])
         ).summary["systems"][0]
         assert set(full["latency"]) == {"p50", "p90", "p99"}
         assert "messages_sent" in full
         assert "splits" in full["adaptation"]
-        assert set(full["pools"]) == {"envelopes", "tokens"}
 
     def test_counter_app_yields_gap_free_values(self):
         run = run_scenario(

@@ -115,13 +115,17 @@ class TestValidation:
             )
             assert any("network.width" in p for p in problems), width
 
-    def test_boolean_fields_reject_non_bools(self):
-        data = {
-            "system": {"coalesce": 1},
-            "arrivals": dict(MINIMAL["arrivals"]),
-        }
-        _, problems = validate_spec_data(data, "x")
-        assert any("system.coalesce" in p for p in problems)
+    def test_removed_system_fields_are_rejected(self):
+        # Specs written before the bus lost coalescing and token
+        # recycling must fail loudly, naming the stale field.
+        for key in ("coalesce", "recycle_tokens"):
+            data = {
+                "system": {key: True},
+                "arrivals": dict(MINIMAL["arrivals"]),
+            }
+            spec, problems = validate_spec_data(data, "x")
+            assert spec is None
+            assert any(p.startswith("system.%s:" % key) for p in problems), key
 
     def test_min_nodes_cannot_exceed_initial_nodes(self):
         data = {
@@ -140,10 +144,11 @@ class TestValidation:
         assert any("latency.weights" in p for p in problems)
 
     def test_record_groups_validated_and_tokens_always_on(self):
-        _, problems = validate_spec_data(
-            {"arrivals": dict(MINIMAL["arrivals"]), "record": ["latencies"]}, "x"
-        )
-        assert any("record" in p for p in problems)
+        for bad in ("latencies", "pools"):
+            _, problems = validate_spec_data(
+                {"arrivals": dict(MINIMAL["arrivals"]), "record": [bad]}, "x"
+            )
+            assert any("record" in p and repr(bad) in p for p in problems), bad
         spec = parse_spec(
             {"arrivals": dict(MINIMAL["arrivals"]), "record": ["latency"]}, "x"
         )

@@ -94,6 +94,26 @@ class TestDelivery:
         sim.run_until_idle()
         assert [m for (m, _t) in proc.received] == ["early"]
 
+    def test_reentrant_send_inside_handler_is_safe(self, setup):
+        """A handler that sends while its own message is being delivered
+        must leave both legs intact."""
+        sim, bus = setup
+        log = []
+
+        class Chainer(SimulatedProcess):
+            def handle_message(self, message):
+                log.append(("a", message))
+                if message == "first":
+                    bus.send("b", "second")
+
+        sink = Recorder(sim)
+        bus.register("a", Chainer())
+        bus.register("b", sink)
+        bus.send("a", "first")
+        sim.run_until_idle()
+        assert log == [("a", "first")]
+        assert sink.received == [("second", 2.0)]
+
 
 class TestServiceQueue:
     def test_messages_queue_at_busy_node(self):
