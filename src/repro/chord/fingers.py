@@ -2,15 +2,22 @@
 
 The paper assumes "an underlying routing service which provides
 efficient routing to an object given the object's name". We implement
-Chord's finger-table routing so experiments can report realistic hop
-counts (O(log N)) for token forwarding and component lookup. Finger
-tables are computed from the ground-truth ring on demand — the paper
-does not study stabilisation-protocol dynamics, so modelling stale
-fingers would add noise without touching any claim.
+Chord's greedy finger routing so experiments can report realistic hop
+counts (O(log N)) for token forwarding and component lookup. Routing
+runs over the ground-truth ring — the paper does not study
+stabilisation-protocol dynamics, so modelling stale fingers would add
+noise without touching any claim.
+
+Over the ground-truth ring the closest preceding finger has a closed
+form, so :func:`lookup` computes each hop with one bisect and keeps no
+tables: nothing derived from membership has to be dropped on a join or
+removal. :func:`finger_table` and :meth:`ChordRing.scan_fingers` stay as
+the reference definitions the closed form is tested against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Tuple
 
 from repro.chord.hashing import name_to_point
@@ -19,18 +26,8 @@ from repro.errors import RingError
 
 
 def finger_table(ring: ChordRing, node_id: int) -> List[ChordNode]:
-    """Chord fingers of a node: ``finger[i] = successor(n + 2^i)``.
-
-    Delegates to :meth:`ChordRing.finger_table`, which memoises tables
-    until the next membership change; callers must not mutate the
-    returned list.
-    """
+    """Chord fingers of a node: ``finger[i] = successor(n + 2^i)``."""
     return ring.finger_table(node_id)
-
-
-def _in_open_interval(space_size: int, left: int, right: int, point: int) -> bool:
-    """Whether ``point`` lies clockwise-strictly between ``left`` and ``right``."""
-    return (point - left) % space_size < (right - left) % space_size and point != left
 
 
 def lookup(ring: ChordRing, start_id: int, key_point: int) -> Tuple[ChordNode, int]:
@@ -38,46 +35,33 @@ def lookup(ring: ChordRing, start_id: int, key_point: int) -> Tuple[ChordNode, i
 
     Returns ``(owner, hops)`` where ``hops`` counts node-to-node
     forwardings (0 when the start node already owns the key).
+
+    With ``p`` the last node strictly before the key, finger
+    ``successor(c + 2^i)`` of node ``c`` precedes the key exactly when
+    ``2^i <= (p - c) mod 2^bits``; the greedy hop takes the largest such
+    finger, so it is ``successor(c + 2^j)`` with ``j`` the top bit of
+    that distance. From ``p`` itself the key's owner is one hop away.
     """
-    if len(ring) == 0:
+    ids = ring.sorted_ids
+    count = len(ids)
+    if count == 0:
         raise RingError("lookup on an empty ring")
     current = ring.node(start_id)
-    hops = 0
     # With a single node, that node owns everything.
-    if len(ring) == 1:
-        return current, hops
+    if count == 1 or start_id == key_point:
+        return current, 0
     size = ring.space.size
-    scan_of = ring.scan_fingers
-    succ_of = ring.succ_k
-    while True:
-        current_id = current.node_id
-        # The successor comes from a plain bisect, not the finger
-        # table: terminal hops must not pay for building a full table.
-        # The interval checks are inlined — this loop dominates
-        # injection-time hop accounting.
-        succ = succ_of(current_id, 1)
-        succ_id = succ.node_id
-        key_offset = (key_point - current_id) % size
-        # The key is owned by current's successor if it lies in (current, succ].
-        if (
-            key_offset < (succ_id - current_id) % size and key_point != current_id
-        ) or key_point == succ_id:
-            if succ_id != current_id:
-                hops += 1
-            return succ, hops
-        if key_point == current_id:
-            return current, hops
-        # Forward to the closest preceding finger.
-        next_node = succ
-        for finger in scan_of(current_id):
-            finger_id = finger.node_id
-            if (finger_id - current_id) % size < key_offset and finger_id != current_id:
-                next_node = finger
-                break
-        if next_node.node_id == current_id:
-            return current, hops
-        current = next_node
+    index = bisect_left(ids, key_point)
+    owner_id = ids[index if index < count else 0]
+    last_before = ids[index - 1]
+    current_id = start_id
+    hops = 1
+    while current_id != last_before:
+        distance = (last_before - current_id) % size
+        index = bisect_left(ids, (current_id + (1 << (distance.bit_length() - 1))) % size)
+        current_id = ids[index if index < count else 0]
         hops += 1
+    return ring.node(owner_id), hops
 
 
 def lookup_name(ring: ChordRing, start_id: int, name: str) -> Tuple[ChordNode, int]:

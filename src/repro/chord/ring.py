@@ -47,21 +47,21 @@ class ChordRing:
         self._ids: List[int] = []
         self._nodes: Dict[int, ChordNode] = {}
         self._join_counter = AtomicCounter()  # repro: owned-by: shared
-        #: Bumped on every membership change; derived structures (the
-        #: finger-table cache below, external memos) key off it.
+        #: Bumped on every membership change; external memos (the level
+        #: estimator's) key off it.
         self._version = 0
-        self._finger_cache: Dict[int, List[ChordNode]] = {}
-        self._scan_cache: Dict[int, List[ChordNode]] = {}
 
     @property
     def version(self) -> int:
         """Monotonic membership-change counter (joins and removals)."""
         return self._version
 
-    def _membership_changed(self) -> None:
-        self._version += 1
-        self._finger_cache = {}
-        self._scan_cache = {}
+    @property
+    def sorted_ids(self) -> List[int]:
+        """The live node ids in ascending order. The list is the ring's
+        own, updated in place by joins and removals; callers must not
+        mutate it."""
+        return self._ids
 
     # ------------------------------------------------------------------
     # membership
@@ -101,7 +101,7 @@ class ChordRing:
         node = ChordNode(node_id, name)
         bisect.insort(self._ids, node_id)
         self._nodes[node_id] = node
-        self._membership_changed()
+        self._version += 1
         return node
 
     def remove(self, node_id: int) -> ChordNode:
@@ -110,7 +110,7 @@ class ChordRing:
         index = bisect.bisect_left(self._ids, node_id)
         del self._ids[index]
         del self._nodes[node_id]
-        self._membership_changed()
+        self._version += 1
         return node
 
     # ------------------------------------------------------------------
@@ -129,52 +129,27 @@ class ChordRing:
     def finger_table(self, node_id: int) -> List[ChordNode]:
         """Chord fingers of a node: ``finger[i] = successor(n + 2^i)``.
 
-        Memoised until the next membership change — greedy lookups ask
-        for the same node's table O(log N) times per query, and the old
-        rebuild-per-call behaviour dominated the token hot path (~190k
-        ``successor`` bisects per 600 injections in the churn bench).
+        The reference definition of the routing table; greedy lookup
+        (:func:`repro.chord.fingers.lookup`) computes the finger it needs
+        in closed form instead of building tables.
         """
-        cached = self._finger_cache.get(node_id)
-        if cached is None:
-            if not self._ids:
-                raise RingError("finger table on an empty ring")
-            ids = self._ids
-            nodes = self._nodes
-            size = self.space.size
-            length = len(ids)
-            insert = bisect.bisect_left
-            cached = []
-            for i in range(self.space.bits):
-                point = (node_id + (1 << i)) % size
-                index = insert(ids, point)
-                if index == length:
-                    index = 0
-                cached.append(nodes[ids[index]])
-            self._finger_cache[node_id] = cached
-        return cached
+        size = self.space.size
+        return [
+            self.successor((node_id + (1 << i)) % size) for i in range(self.space.bits)
+        ]
 
     def scan_fingers(self, node_id: int) -> List[ChordNode]:
-        """The *distinct* fingers of a node, furthest offset first.
-
-        Greedy lookup scans fingers from the largest power-of-two offset
-        down for the closest preceding node; consecutive offsets often
-        land on the same successor, so the full ``space.bits``-entry
-        table collapses to ~log N candidates. Memoised until the next
-        membership change, like :meth:`finger_table` (from which it is
-        derived, preserving scan order exactly — duplicates in the full
-        table form consecutive runs, so adjacent dedup is lossless).
-        """
-        cached = self._scan_cache.get(node_id)
-        if cached is None:
-            cached = []
-            last = None
-            for finger in reversed(self.finger_table(node_id)):
-                finger_id = finger.node_id
-                if finger_id != last:
-                    cached.append(finger)
-                    last = finger_id
-            self._scan_cache[node_id] = cached
-        return cached
+        """The *distinct* fingers of a node, furthest offset first: the
+        order in which greedy lookup scans for the closest preceding
+        node. Consecutive offsets often land on the same successor, so
+        the full ``space.bits``-entry table collapses to ~log N
+        candidates (duplicates form consecutive runs, so adjacent dedup
+        is lossless)."""
+        distinct: List[ChordNode] = []
+        for finger in reversed(self.finger_table(node_id)):
+            if not distinct or finger is not distinct[-1]:
+                distinct.append(finger)
+        return distinct
 
     def succ_k(self, node_id: int, k: int) -> ChordNode:
         """The k-th clockwise successor of a node (``succ_1`` is the next

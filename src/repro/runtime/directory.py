@@ -34,10 +34,12 @@ class ComponentDirectory:
         #: so entries never invalidate; the memo spares the token hot
         #: path a tree walk + SHA-1 per lookup.
         self._points: Dict[Path, int] = {}
-        #: Monotonic mutation stamp: bumped on every register/unregister.
-        #: Caches keyed by it (the client-side input-lookup cache, the
-        #: ``live_paths`` memo below) stay valid exactly as long as the
-        #: deployed cut is unchanged.
+        #: Monotonic cut stamp: bumped when a path becomes live or stops
+        #: being live, not when a live component moves to a new owner (a
+        #: handoff). Caches keyed by it (the client-side input-lookup
+        #: cache, the shared edge memo, the ``live_paths`` memo below)
+        #: store paths, never owners, so they stay valid exactly as long
+        #: as the deployed cut is unchanged.
         self._generation = 0  # repro: owned-by: single-writer
         self._live_memo: Optional[FrozenSet[Path]] = None
 
@@ -72,16 +74,24 @@ class ComponentDirectory:
         self._live_memo = None
 
     def register(self, path: Path, node_id: int) -> None:
-        self._owner[tuple(path)] = node_id
-        self._bump_generation()
+        """Place ``path`` on ``node_id``: a new live component, or an
+        owner move of a live one, which leaves the cut and the
+        generation as they are."""
+        path = tuple(path)
+        moved = path in self._owner
+        self._owner[path] = node_id
+        if not moved:
+            self._bump_generation()
 
     def unregister(self, path: Path) -> None:
-        self._owner.pop(tuple(path), None)
-        self._bump_generation()
+        path = tuple(path)
+        if path in self._owner:
+            del self._owner[path]
+            self._bump_generation()
 
     @property
     def generation(self) -> int:
-        """Current mutation stamp (changes iff the deployed cut does)."""
+        """Current cut stamp (changes iff the set of live paths does)."""
         return self._generation
 
     def owner(self, path: Path) -> int:

@@ -9,9 +9,10 @@ and the list of components it has split but not yet merged
 (Section 3.2).
 
 Out-neighbour addresses are cached per (component, output port) as
-Section 3.5 prescribes; the system invalidates caches when the network
-is reconfigured and the hit/miss counters feed the routing-efficiency
-experiment.
+Section 3.5 prescribes. An entry names a component path, never its
+owner, so it survives handoffs; the system invalidates caches when the
+deployed cut changes, and the hit/miss counters feed the
+routing-efficiency experiment.
 """
 
 from __future__ import annotations

@@ -38,11 +38,13 @@ class InputLookup:
         self._leaves: dict = {}
         #: wire -> (directory generation, path, port, tries, hash point).
         #: A resolved lookup stays valid until the deployed cut changes
-        #: (the directory generation stamp moves), so repeat injections
-        #: on a wire skip the ancestor walk — the same remember-your-
-        #: out-neighbour caching Section 3.5 applies on the token plane,
-        #: applied at the client. DHT hops are still counted per call by
-        #: routing to the remembered component's hash point.
+        #: (the directory generation stamp moves; handoffs do not move
+        #: it, and the entry names a path, not its owner), so repeat
+        #: injections on a wire skip the ancestor walk — the same
+        #: remember-your-out-neighbour caching Section 3.5 applies on
+        #: the token plane, applied at the client. DHT hops are still
+        #: counted per call by routing to the remembered component's
+        #: hash point.
         self._resolved: dict = {}
 
     def _input_leaf(self, wire: int):

@@ -11,6 +11,11 @@
   of merging what the departed node split.
 * **Crash** — handled by :mod:`repro.runtime.stabilization`; this module
   only removes the node and reports what was lost.
+
+A handoff moves a component without changing the deployed cut, so it
+keeps the directory generation and every routing cache: clients and
+hosts remember component *paths* (Section 3.5), and each send reads the
+current owner from the directory.
 """
 
 from __future__ import annotations
@@ -85,7 +90,6 @@ class MembershipManager:
             system.stats.control_messages += 2  # state transfer + ack
         if moves:
             system.advance(2 * system.control_latency)
-            system.invalidate_caches()
             system.stats.handoffs += len(moves)
 
     # ------------------------------------------------------------------
@@ -123,7 +127,6 @@ class MembershipManager:
         del system.hosts[node_id]
         system.note_node_left(node_id)
         system.advance(2 * system.control_latency)
-        system.invalidate_caches()
 
     # ------------------------------------------------------------------
     # crash

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chord.ring import ChordNode, ChordRing
@@ -70,8 +70,11 @@ class SystemStats:
     crashes: int = 0
     recoveries: int = 0
     control_messages: int = 0
-    lookup_tries: List[int] = field(default_factory=list)
-    lookup_hops: List[int] = field(default_factory=list)
+    #: Running totals over every input lookup (Section 3.5): lookups
+    #: made, names tried and DHT routing hops.
+    lookups: int = 0
+    lookup_tries: int = 0
+    lookup_hops: int = 0
     dropped_tokens: int = 0
     disturbed_tokens: int = 0
 
@@ -287,8 +290,10 @@ class AdaptiveCountingSystem:
     def find_input(self, wire: int, from_node: Optional[int] = None) -> LookupResult:
         """Section 3.5's input-component lookup, with stats recorded."""
         result = self.lookup.find(wire, from_node)
-        self.stats.lookup_tries.append(result.tries)
-        self.stats.lookup_hops.append(result.dht_hops)
+        stats = self.stats
+        stats.lookups += 1
+        stats.lookup_tries += result.tries
+        stats.lookup_hops += result.dht_hops
         return result
 
     def send_token(self, path: Path, port: int, token: Token) -> None:
@@ -525,7 +530,7 @@ class AdaptiveCountingSystem:
                 raise ProtocolError("drain stalled with tokens in flight")
 
     def invalidate_caches(self) -> None:
-        """Drop all out-neighbour caches (the network changed)."""
+        """Drop all out-neighbour caches (the deployed cut changed)."""
         for host in self.hosts.values():
             host.clear_edge_cache()
 
@@ -539,9 +544,11 @@ class AdaptiveCountingSystem:
         Resolutions are memoised per directory generation and shared by
         every host: the answer depends only on the deployed cut, so when
         one host has resolved an edge, the other 2k need not repeat the
-        wiring walk — per-host caches warm from here. Even crash holes
-        memoise safely: recovery re-registers the component, which bumps
-        the generation and drops the memo wholesale.
+        wiring walk — per-host caches warm from here. Entries name
+        paths, so handoffs (which keep the generation) leave them valid.
+        Even crash holes memoise safely: recovery re-registers the
+        component, which bumps the generation and drops the memo
+        wholesale.
         """
         generation = self.directory.generation
         memo = self._edge_memo

@@ -52,6 +52,20 @@ class TestRegistration:
         directory.unregister(())
         assert not directory.is_live(())
 
+    def test_generation_moves_iff_the_live_set_does(self, directory):
+        start = directory.generation
+        directory.register((0,), 5)
+        assert directory.generation == start + 1
+        live = directory.live_paths()
+        directory.register((0,), 9)  # an owner move: same cut
+        assert directory.generation == start + 1
+        assert directory.live_paths() is live
+        assert directory.owner((0,)) == 9
+        directory.unregister((0,))
+        assert directory.generation == start + 2
+        directory.unregister((0,))  # nothing was live there
+        assert directory.generation == start + 2
+
     def test_paths_on(self, directory):
         directory.register((0,), 5)
         directory.register((1,), 5)

@@ -59,4 +59,7 @@ class TestInputLookup:
         start = sorted(system.hosts)[0]
         result = system.find_input(0, start)
         assert result.dht_hops >= 0
-        assert len(system.stats.lookup_hops) == 1
+        again = system.find_input(1, start)
+        assert system.stats.lookups == 2
+        assert system.stats.lookup_tries == result.tries + again.tries
+        assert system.stats.lookup_hops == result.dht_hops + again.dht_hops

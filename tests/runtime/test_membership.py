@@ -120,3 +120,90 @@ class TestCrash:
         system.run_until_quiescent()  # token parked in the buffer
         report = system.membership.crash(owner)
         assert report.lost_buffered_tokens == 1
+
+
+def _warm_system(seed):
+    """A converged system whose input-lookup and edge caches are warm."""
+    system = AdaptiveCountingSystem(width=16, seed=seed, initial_nodes=12)
+    system.converge()
+    for _ in range(64):
+        system.inject_token()
+    system.run_until_quiescent()
+    return system
+
+
+def _routing_caches(system):
+    return (
+        system.directory.generation,
+        dict(system.lookup._resolved),
+        {node_id: dict(host._edge_cache) for node_id, host in system.hosts.items()},
+    )
+
+
+def _assert_caches_kept(system, before):
+    generation, resolved, edges = before
+    assert system.directory.generation == generation
+    assert system.lookup._resolved == resolved
+    for node_id, host in system.hosts.items():
+        if node_id in edges:
+            assert host._edge_cache == edges[node_id]
+
+
+def _assert_tokens_retire(system, count=64):
+    retired = system.token_stats.retired.get()
+    for _ in range(count):
+        system.inject_token()
+    system.run_until_quiescent()
+    assert system.token_stats.retired == retired + count
+    system.verify()
+
+
+class TestHandoffKeepsRoutingCaches:
+    """A handoff moves components but not the cut (Section 3.4), so the
+    directory generation and the path-keyed routing caches survive it."""
+
+    def test_join_handoff(self):
+        system = _warm_system(21)
+        before = _routing_caches(system)
+        assert before[1] and any(before[2].values())
+        handoffs = system.stats.handoffs
+        while system.stats.handoffs == handoffs:
+            system.add_node()
+        _assert_caches_kept(system, before)
+        _assert_tokens_retire(system)
+
+    def test_leave_handoff(self):
+        system = _warm_system(22)
+        before = _routing_caches(system)
+        loaded = next(
+            nid for nid, h in system.hosts.items() if h.component_count() > 0
+        )
+        handoffs = system.stats.handoffs
+        system.remove_node(loaded)
+        assert system.stats.handoffs > handoffs
+        _assert_caches_kept(system, before)
+        _assert_tokens_retire(system)
+
+    def test_cut_changes_move_the_generation(self):
+        system = AdaptiveCountingSystem(
+            width=16, seed=23, initial_nodes=12, auto_stabilize=False
+        )
+        directory = system.directory
+        generation = directory.generation
+        system.reconfig.split(())
+        system.run_until_quiescent()
+        assert directory.generation > generation
+        generation = directory.generation
+        system.reconfig.merge((), system.hosts[system.ring.nodes()[0].node_id])
+        assert directory.generation > generation
+        system.converge()
+        generation = directory.generation
+        loaded = next(
+            nid for nid, h in system.hosts.items() if h.component_count() > 0
+        )
+        system.crash_node(loaded)
+        assert directory.generation > generation
+        generation = directory.generation
+        assert system.stabilize()
+        assert directory.generation > generation
+        _assert_tokens_retire(system)
