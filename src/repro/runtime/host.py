@@ -10,9 +10,9 @@ and the list of components it has split but not yet merged
 
 Out-neighbour addresses are cached per (component, output port) as
 Section 3.5 prescribes. An entry names a component path, never its
-owner, so it survives handoffs; the system invalidates caches when the
-deployed cut changes, and the hit/miss counters feed the
-routing-efficiency experiment.
+owner, so it survives handoffs. When the deployed cut changes, the
+system clears the caches of the hosts that a first insert enrolled as
+warm. The hit/miss counters feed the routing-efficiency experiment.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class NodeHost(SimulatedProcess):
     def drain_buffer(self, path: Path) -> List[Tuple[int, Token]]:
         """Take (and clear) the tokens buffered for a frozen component."""
         return self.buffers.pop(path, [])
-
-    def clear_edge_cache(self) -> None:
-        self._edge_cache.clear()
 
     # ------------------------------------------------------------------
     # token plane
@@ -190,6 +187,8 @@ class NodeHost(SimulatedProcess):
         self.cache_misses += 1
         resolved = self.system.resolve_edge(state.spec, out_port)
         if resolved[0] != "missing":  # never cache a crash hole
+            if not self._edge_cache:
+                self.system._warm_hosts.add(self)
             self._edge_cache[key] = resolved
         return resolved
 

@@ -125,6 +125,7 @@ class MembershipManager:
             system.stats.handoffs += 1
         system.bus.unregister(node_id)
         del system.hosts[node_id]
+        system._warm_hosts.discard(host)
         system.note_node_left(node_id)
         system.advance(2 * system.control_latency)
 
@@ -151,7 +152,11 @@ class MembershipManager:
         for path in report.lost_components:
             system.directory.unregister(path)
         del system.hosts[node_id]
+        system._warm_hosts.discard(host)
         system.note_node_left(node_id)
-        system.invalidate_caches()
+        # A crash that lost no component leaves the cut, and so every
+        # path-keyed cache, as it was.
+        if report.lost_components:
+            system.invalidate_caches()
         system.stats.crashes += 1
         return report

@@ -61,9 +61,9 @@ class Reconfigurator:
         state = host.components.get(path)
         if state is None:
             raise ProtocolError("directory says %r is on %s, but it is not" % (path, owner))
-        # Static gate (repro.staticcheck): reject the reconfiguration up
-        # front — leaf split, or a post-split set that is not a valid
-        # cut — before any freeze or state transfer happens.
+        # Static gate (repro.staticcheck): reject a leaf split up front,
+        # before any freeze or state transfer happens. Splitting a live
+        # member never breaks a valid cut, so the gate checks only it.
         validate_split(system.tree, system.directory.live_paths(), path)
         host.freeze(path)
         children = split_child_states(system.wiring, state.spec, state.arrivals)
@@ -161,17 +161,16 @@ class Reconfigurator:
                 buffered.append((member, port, token))
             states[member] = owner_host.remove(member)
             system.directory.unregister(member)
-            # Any sub-split bookkeeping inside the subtree is now moot.
-            for host in system.hosts.values():
-                host.split_registry.discard(member)
         merged = self._fold(system.tree.node(path), states)
         system.advance(2 * system.control_latency)
         home = system.directory.home(path)
         system.hosts[home].install(merged)
         system.directory.register(path, home)
+        # The split of ``path`` and any sub-split inside it are now moot.
+        moot = {path, *subtree}
         initiator.split_registry.discard(path)
         for host in system.hosts.values():
-            host.split_registry.discard(path)
+            host.split_registry.difference_update(moot)
         system.stats.merges += 1
         system.invalidate_caches()
         # Phase 4: re-address buffered boundary tokens to the parent.

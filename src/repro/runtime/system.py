@@ -117,6 +117,8 @@ class AdaptiveCountingSystem:
         self._edge_memo: Dict[Tuple[Path, int], Tuple] = {}  # repro: owned-by: single-writer
         self._edge_memo_stamp = -1  # repro: owned-by: single-writer
         self.hosts: Dict[int, NodeHost] = {}
+        #: Hosts whose edge cache is non-empty (see invalidate_caches).
+        self._warm_hosts: Set[NodeHost] = set()
         # Sorted list of live node ids, maintained incrementally by the
         # membership layer so the token hot path never re-sorts
         # ``self.hosts`` per injection.
@@ -530,9 +532,11 @@ class AdaptiveCountingSystem:
                 raise ProtocolError("drain stalled with tokens in flight")
 
     def invalidate_caches(self) -> None:
-        """Drop all out-neighbour caches (the deployed cut changed)."""
-        for host in self.hosts.values():
-            host.clear_edge_cache()
+        """Drop all out-neighbour caches (the deployed cut changed),
+        visiting only the hosts that cached an edge since the last call."""
+        for host in self._warm_hosts:
+            host._edge_cache.clear()
+        self._warm_hosts.clear()
 
     def resolve_edge(self, spec: ComponentSpec, out_port: int):
         """Where (``spec``, output ``out_port``) leads under the live cut.

@@ -18,7 +18,8 @@ routing a single token:
   what :class:`repro.runtime.reconfig.Reconfigurator` consults before
   touching any state. The raising wrappers :func:`validate_split` /
   :func:`validate_merge` turn failures into
-  :class:`repro.errors.InvalidTransitionError`.
+  :class:`repro.errors.InvalidTransitionError`. The split gate checks
+  only its target, never the whole live set (see :func:`check_split`).
 
 Error codes
 -----------
@@ -40,7 +41,7 @@ Error codes
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import InvalidTransitionError, StructureError
 from repro.staticcheck.diagnostics import Report
@@ -151,23 +152,9 @@ def check_transition(
     """
     if source is None:
         source = "transition(w=%d)" % tree.width
-    old_report = check_cut(tree, old_paths, source="%s:old" % source)
-    return _check_transition(tree, old_paths, new_paths, source, old_report)
-
-
-def _check_transition(
-    tree,
-    old_paths: Iterable[Path],
-    new_paths: Iterable[Path],
-    source: str,
-    old_report: Report,
-) -> Report:
-    """:func:`check_transition` given the ``check_cut`` report of the
-    old endpoint (made with ``source="<source>:old"``), so a caller that
-    already walked the old cut does not walk it again."""
     report = Report()
-    new_report = check_cut(tree, new_paths, source="%s:new" % source)
-    report.extend(old_report).extend(new_report)
+    report.extend(check_cut(tree, old_paths, source="%s:old" % source))
+    report.extend(check_cut(tree, new_paths, source="%s:new" % source))
     if not report.ok:
         return report
     old = frozenset(_normalise(old_paths))
@@ -210,22 +197,24 @@ class _Subtree:
 # ----------------------------------------------------------------------
 # single-operation validators for the runtime
 # ----------------------------------------------------------------------
-def check_split(tree, live_paths: Iterable[Path], path: Path, source: Optional[str] = None) -> Report:
+def check_split(tree, live_paths: Collection[Path], path: Path, source: Optional[str] = None) -> Report:
     """Whether splitting live member ``path`` is valid right now.
 
-    The local preconditions (member live, not a leaf) are always
-    checked. The global check — the post-split component set is a valid
-    cut — runs only when the *current* set already is one: after a
-    crash the live set legitimately has holes until stabilisation
-    refills them, and reconfiguration of the surviving members must not
-    be vetoed for that.
+    Only the local preconditions are checked: ``path`` is live (RSC206;
+    ``live_paths`` is only probed with ``in``), is a component (RSC202)
+    and is not a leaf (RSC206). No global check could change the
+    verdict. If the live set is a valid cut, so is ``(live - {path}) |
+    children(path)`` (Theorem 2.1), and its only change region is
+    ``path``'s own children, so the transition check is always clean.
+    If the live set has a crash hole, the surviving members may still
+    reconfigure. ``verify()`` checks full cut validity at quiescent
+    points (``directory.check_consistent()``).
     """
     if source is None:
         source = "split%r" % (tuple(path),)
     report = Report()
-    live = frozenset(_normalise(live_paths))
     path = tuple(path)
-    if path not in live:
+    if path not in live_paths:
         report.add("RSC206", "cannot split %r: not a live member" % (path,), source)
         return report
     try:
@@ -235,13 +224,6 @@ def check_split(tree, live_paths: Iterable[Path], path: Path, source: Optional[s
         return report
     if spec.is_leaf:
         report.add("RSC206", "cannot split the balancer %s" % (spec,), source)
-        return report
-    # One walk of the live set serves both as the validity test and as
-    # the transition's old-endpoint check.
-    live_report = check_cut(tree, live, source="%s:old" % source)
-    if live_report.ok:
-        target = (live - {path}) | {child.path for child in spec.children()}
-        report.extend(_check_transition(tree, live, target, source, live_report))
     return report
 
 
@@ -285,7 +267,7 @@ def check_merge(tree, live_paths: Iterable[Path], path: Path, source: Optional[s
     return report
 
 
-def validate_split(tree, live_paths: Iterable[Path], path: Path) -> None:
+def validate_split(tree, live_paths: Collection[Path], path: Path) -> None:
     """Raise :class:`~repro.errors.InvalidTransitionError` if
     :func:`check_split` finds any violation."""
     report = check_split(tree, live_paths, path)

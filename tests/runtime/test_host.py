@@ -96,3 +96,85 @@ class TestEdgeCache:
         system.run_until_quiescent()
         system.invalidate_caches()
         assert all(not h._edge_cache for h in system.hosts.values())
+
+
+def warm_hosts(system):
+    """The hosts whose edge cache is non-empty."""
+    return {h for h in system.hosts.values() if h._edge_cache}
+
+
+class TestWarmSet:
+    """The system tracks exactly the hosts with a non-empty edge cache,
+    and invalidation visits only those."""
+
+    @pytest.fixture
+    def busy(self):
+        system = AdaptiveCountingSystem(width=16, seed=4, initial_nodes=12)
+        system.converge()
+        for _ in range(64):
+            system.inject_token()
+        system.run_until_quiescent()
+        return system
+
+    def test_traffic_warms_and_invalidation_empties(self, busy):
+        assert busy._warm_hosts and busy._warm_hosts == warm_hosts(busy)
+        assert len(busy._warm_hosts) < len(busy.hosts)
+        busy.invalidate_caches()
+        assert not busy._warm_hosts
+        assert not warm_hosts(busy)
+
+    def test_host_rewarms_and_is_tracked_again(self, busy):
+        busy.invalidate_caches()
+        for _ in range(16):
+            busy.inject_token()
+        busy.run_until_quiescent()
+        assert busy._warm_hosts and busy._warm_hosts == warm_hosts(busy)
+
+    def test_departed_hosts_leave_the_set(self, busy):
+        leaving, crashing = sorted(
+            node_id for node_id, h in busy.hosts.items() if h in busy._warm_hosts
+        )[:2]
+        left, crashed = busy.hosts[leaving], busy.hosts[crashing]
+        busy.remove_node(leaving)
+        assert left not in busy._warm_hosts
+        busy.crash_node(crashing)
+        assert crashed not in busy._warm_hosts
+        assert busy._warm_hosts == warm_hosts(busy)
+        for _ in range(64):
+            busy.inject_token()
+        busy.run_until_quiescent()
+        busy.verify()
+        assert busy._warm_hosts == warm_hosts(busy)
+
+    def test_split_then_traffic_hit_miss_totals_are_pinned(self):
+        """Clearing only warm caches resolves the same edges: the
+        totals equal those of clearing every host's cache."""
+        system = AdaptiveCountingSystem(width=32, seed=3, initial_nodes=40)
+        for _ in range(48):
+            system.inject_token()
+        system.run_until_quiescent()
+        system.converge()
+        for _ in range(64):
+            system.inject_token()
+        system.run_until_quiescent()
+        target = next(
+            p for p in sorted(system.directory.live_paths())
+            if not system.tree.node(p).is_leaf
+        )
+        system.reconfig.split(target)
+        for _ in range(64):
+            system.inject_token()
+        system.run_until_quiescent()
+        system.reconfig.merge(target, system.hosts[system.ring.nodes()[0].node_id])
+        for _ in range(64):
+            system.inject_token()
+        system.run_until_quiescent()
+        system.verify()
+        hosts = system.hosts.values()
+        totals = (
+            system.stats.splits,
+            system.stats.merges,
+            sum(h.cache_hits for h in hosts),
+            sum(h.cache_misses for h in hosts),
+        )
+        assert totals == (8, 1, 608, 624)

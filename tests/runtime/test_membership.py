@@ -207,3 +207,32 @@ class TestHandoffKeepsRoutingCaches:
         assert system.stabilize()
         assert directory.generation > generation
         _assert_tokens_retire(system)
+
+
+class TestCrashInvalidatesOnlyWhenTheCutChanged:
+    def test_crash_of_a_node_without_components_keeps_caches(self):
+        system = _warm_system(24)
+        empty = next(
+            nid for nid, h in system.hosts.items() if h.component_count() == 0
+        )
+        before = _routing_caches(system)
+        assert any(before[2].values())
+        report = system.crash_node(empty)
+        assert report.lost_components == []
+        _assert_caches_kept(system, before)
+        _assert_tokens_retire(system)
+
+    def test_crash_that_loses_a_component_clears_caches(self):
+        system = _warm_system(25)
+        generation = system.directory.generation
+        loaded = next(
+            nid for nid, h in system.hosts.items() if h.component_count() > 0
+        )
+        report = system.membership.crash(loaded)
+        assert report.lost_components
+        assert system.directory.generation > generation
+        assert all(not h._edge_cache for h in system.hosts.values())
+        assert not system._warm_hosts
+        system.lost_components.update(report.lost_components)
+        assert system.stabilize()
+        _assert_tokens_retire(system)

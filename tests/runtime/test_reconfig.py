@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.runtime.reconfig as reconfig_module
 from repro.errors import ComponentNotFound, ProtocolError
 from repro.runtime.system import AdaptiveCountingSystem
+from tests.staticcheck.test_split_gate import assert_same_gate
 
 
 @pytest.fixture
@@ -168,3 +170,23 @@ class TestInputBoundary:
         subtree = system.directory.live_descendants((2,))
         boundary = system.reconfig.input_boundary((2,), subtree)
         assert boundary == [(2, 0), (2, 1)]
+
+
+class TestSplitGateDuringConverge:
+    def test_every_gate_call_matches_the_reference(self, monkeypatch):
+        """Each split ``converge()`` makes on a 128-node width-64 system
+        passes a gate whose report equals the walk-everything reference."""
+        real = reconfig_module.validate_split
+        gated = []
+
+        def checked(tree, live_paths, path):
+            gated.append((len(live_paths), path))
+            assert_same_gate(tree, live_paths, path)
+            real(tree, live_paths, path)
+
+        monkeypatch.setattr(reconfig_module, "validate_split", checked)
+        system = AdaptiveCountingSystem(width=64, seed=7, initial_nodes=128)
+        system.converge()
+        assert len(gated) == system.stats.splits
+        assert max(size for size, _ in gated) > 32
+        system.verify()

@@ -1,18 +1,22 @@
 """The split gate gives the verdicts of the public cut checks.
 
-``check_split`` walks the live set once and reuses that report as the
-transition's old-endpoint check. These tests rebuild each report from
-the public :func:`is_valid_cut` and :func:`check_transition` and require
-the same diagnostics, and the same error from :func:`validate_split`.
+``check_split`` checks only its target: live, a tree node, not a leaf.
+These tests rebuild each report from the public :func:`is_valid_cut`
+and :func:`check_transition`, which also walk the live and post-split
+sets, and require the same diagnostics, and the same error from
+:func:`validate_split`.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.decomposition import DecompositionTree
 from repro.errors import InvalidTransitionError, StructureError
+from repro.ext.periodic_adaptive import periodic_tree
 from repro.staticcheck import check_transition, validate_split
 from repro.staticcheck.cuts import check_split, is_valid_cut
 from repro.staticcheck.diagnostics import Report
@@ -119,3 +123,49 @@ def test_random_split_merge_hole_sequences_width32(seed):
         elif len(live) > 1:
             live.remove(target)  # a crash hole
     assert cuts_seen and holes_seen
+
+
+#: Bitonic trees of widths 8-64 and a generic (periodic) recursive tree.
+GATE_TREES = {
+    "bitonic8": DecompositionTree(8),
+    "bitonic16": DecompositionTree(16),
+    "bitonic32": DecompositionTree(32),
+    "bitonic64": DecompositionTree(64),
+    "periodic16": periodic_tree(16),
+}
+
+#: A path no tree here has: the first index is out of range everywhere.
+BOGUS = (9, 9)
+
+moves = st.lists(
+    st.tuples(st.sampled_from(("split", "merge", "hole")), st.integers(0, 2 ** 16)),
+    max_size=24,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(GATE_TREES)), moves)
+def test_generated_split_merge_hole_sequences(name, sequence):
+    tree = GATE_TREES[name]
+    live = {()}
+    for move, pick in sequence:
+        members = sorted(live)
+        target = members[pick % len(members)]
+        spec = tree.node(target)
+        # The gate on a live member, a child and a parent that are not
+        # live, and a bogus path, with and without the bogus path live.
+        probes = [target, target + (0,), target[:-1], BOGUS]
+        for path in probes:
+            assert_same_gate(tree, members, path)
+            assert_same_gate(tree, members + [BOGUS], path)
+        if move == "split" and not spec.is_leaf:
+            live.remove(target)
+            live.update(child.path for child in spec.children())
+        elif move == "merge" and target:
+            parent = target[:-1]
+            live = {p for p in live if p[: len(parent)] != parent} | {parent}
+        elif move == "hole" and len(live) > 1:
+            live.remove(target)
+    members = sorted(live)
+    for path in members:
+        assert_same_gate(tree, members, path)
